@@ -160,7 +160,6 @@ def _cmd_search(args) -> int:
         order=order,
         crosscap_allowed=args.crosscap,
         optimize_order=args.optimize_order,
-        deterministic=args.deterministic,
         node_limit=args.node_limit,
         time_limit=args.time_limit,
     )
@@ -269,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a layout from a named scheme")
-    p.add_argument("--family", choices=("K", "O"), default=None,
-                   help="graph family (implied by the scheme)")
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--scheme", choices=SCHEMES, required=True)
@@ -299,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allow one cross-cap page (relaxed profile)")
     p.add_argument("--optimize-order", action="store_true",
                    help="search all spine orders up to symmetry (n <= 9)")
-    p.add_argument("--deterministic", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT)
     p.add_argument("--out", help="write the SAT certificate here")

@@ -5,7 +5,7 @@ cross-cap page holding the r antipodal edges.  The strict construction
 transcribed literally from its source text is kept as its own operation
 because, under the fixed cyclic reading of its leaf ranges, it fails to
 partition the edge set (duplicates and missing edges); strict_complete
-reports repairs it by exact search over the residual edges.
+repairs it by exact search over the residual edges.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .model import (
     identity_order,
 )
 from .verify import Profile, verify_layout
+
+STRICT_R_MAX = 8  # largest r that strict_complete accepts
 
 
 class StrictLayoutUnavailable(Exception):
@@ -178,18 +180,16 @@ def literal_main_stars(r: int) -> tuple[tuple[Edge, ...], ...]:
 
 def strict_complete(
     r: int,
-    r_max: int = 8,
     node_limit: int = 10**9,
     time_limit: float = 600.0,
 ) -> BookLayout:
     """A verified strict layout of K_{2r} with at most r+2 star-forest pages.
 
-    Strategy: take the literal construction; if it fails verification,
-    keep its r main stars fixed and exactly solve the assignment of the
-    remaining edges to the r+2 pages.  If that restricted repair is
-    exhausted without a witness, fall back to the n-1 single-star pages
-    when they fit the budget, and otherwise run the unrestricted exact
-    search at the same budget.
+    Strategy: for r = 2 the n-1 single-star pages fit the budget.  For
+    r >= 3 the literal construction never verifies, so keep its r main
+    stars fixed and exactly solve the assignment of the remaining edges
+    to the r+2 pages (the repair search); if that is exhausted without a
+    witness, run the unrestricted exact search at the same budget.
 
     A witness exists only for r <= 3: the convex K_n cannot be split into
     fewer than n-1 noncrossing star forests (Pach, Saghafian and Schnider,
@@ -204,53 +204,29 @@ def strict_complete(
 
     if r < 2:
         raise ValueError(f"strict construction needs r >= 2, got {r}")
-    if r > r_max:
-        raise ValueError(f"r={r} exceeds the configured maximum {r_max}")
+    if r > STRICT_R_MAX:
+        raise ValueError(f"r={r} exceeds the supported maximum {STRICT_R_MAX}")
     n = 2 * r
     if r == 2:
         return star_pages(n)
 
-    literal = strict_literal(r)
-    if verify_layout(literal, Profile.STRICT).passed:
-        return literal
-
-    repair = SearchProblem(
-        graph=complete_graph(n),
-        budget=r + 2,
-        profile=Profile.STRICT,
-        order=identity_order(n),
-        deterministic=True,
-        node_limit=node_limit,
-        time_limit=time_limit,
-        fixed_pages=literal_main_stars(r),
-    )
-    outcome = solve(repair)
-    if outcome.status == "sat":
-        return outcome.layout
-    if outcome.status == "aborted":
-        raise StrictLayoutUnavailable(
-            f"repair search for r={r} hit its {outcome.reason} before resolving",
-            reason=outcome.reason,
-        )
-    if 2 * r - 1 <= r + 2:
-        return star_pages(n)
-    unrestricted = SearchProblem(
-        graph=complete_graph(n),
-        budget=r + 2,
-        profile=Profile.STRICT,
-        order=identity_order(n),
-        deterministic=True,
-        node_limit=node_limit,
-        time_limit=time_limit,
-    )
-    outcome = solve(unrestricted)
-    if outcome.status == "sat":
-        return outcome.layout
-    if outcome.status == "aborted":
-        raise StrictLayoutUnavailable(
-            f"unrestricted search for r={r} hit its {outcome.reason} before resolving",
-            reason=outcome.reason,
-        )
+    for stage, fixed in (("repair", literal_main_stars(r)), ("unrestricted", ())):
+        outcome = solve(SearchProblem(
+            graph=complete_graph(n),
+            budget=r + 2,
+            profile=Profile.STRICT,
+            order=identity_order(n),
+            node_limit=node_limit,
+            time_limit=time_limit,
+            fixed_pages=fixed,
+        ))
+        if outcome.status == "sat":
+            return outcome.layout
+        if outcome.status == "aborted":
+            raise StrictLayoutUnavailable(
+                f"{stage} search for r={r} hit its {outcome.reason} before resolving",
+                reason=outcome.reason,
+            )
     raise StrictLayoutUnavailable(
         f"no strict {r + 2}-page star-forest layout of K_{n} exists (search exhausted)",
         reason=None,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -45,14 +45,15 @@ def append_record(path, record: JournalRecord) -> None:
 
 
 def load_records(path) -> list[JournalRecord]:
-    """Read all records; a truncated final line is skipped, anything
-    else malformed is an error."""
+    """Read all records; a truncated final line is skipped, unknown keys
+    are ignored, and any other malformed line is a ValueError."""
     p = Path(path)
     if not p.exists():
         return []
     lines = p.read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
+    names = {f.name for f in fields(JournalRecord)}
     records = []
     for i, line in enumerate(lines):
         try:
@@ -61,5 +62,10 @@ def load_records(path) -> list[JournalRecord]:
             if i == len(lines) - 1:
                 continue  # torn final write
             raise ValueError(f"{path}: corrupt journal line {i + 1}")
-        records.append(JournalRecord(**doc))
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: journal line {i + 1} is not a JSON object")
+        try:
+            records.append(JournalRecord(**{k: v for k, v in doc.items() if k in names}))
+        except TypeError as exc:  # a required field is missing
+            raise ValueError(f"{path}: journal line {i + 1}: {exc}") from None
     return records

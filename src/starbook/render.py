@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .model import BookLayout, PageKind
+from .model import BookLayout, Page, PageKind
 from .verify import (
     Profile,
     crosscap_occurrences,
@@ -86,7 +86,7 @@ def render_svg(layout: BookLayout, force: bool = False) -> str:
             for u, v in edges:
                 out.append(_line(*_vertex_xy(order, u), *_vertex_xy(order, v), color))
         else:
-            ok, split = crosscap_page_valid(order, page)
+            ok, split = crosscap_page_valid(order, Page(PageKind.CROSSCAP, tuple(edges)))
             through = sorted(split.through) if ok else []
             planar = sorted(split.planar) if ok else edges
             out.append(f'<circle cx="{_fmt(_CENTER)}" cy="{_fmt(_CENTER)}" '

@@ -49,7 +49,6 @@ class SearchProblem:
     order: CircularOrder | None = None
     crosscap_allowed: bool = False
     optimize_order: bool = False
-    deterministic: bool = True
     node_limit: int = DEFAULT_NODE_LIMIT
     time_limit: float = DEFAULT_TIME_LIMIT
     fixed_pages: tuple[tuple[Edge, ...], ...] = ()
@@ -155,8 +154,7 @@ class _Engine:
         b = self.budget
         self.mask = [0] * b
         self.deg = [[0] * (self.n + 1) for _ in range(b)]
-        self.comps = [0] * b
-        self.size = [0] * b
+        self.free = [self.n] * b  # vertices that no edge of the page touches
         self.page_edges: list[list[Edge]] = [[] for _ in range(b)]
         for p, page in enumerate(problem.fixed_pages):
             for e in page:
@@ -201,12 +199,10 @@ class _Engine:
     def _apply(self, p: int, e: Edge) -> None:
         u, v = e
         deg = self.deg[p]
-        if not deg[u] and not deg[v]:
-            self.comps[p] += 1
+        self.free[p] -= (not deg[u]) + (not deg[v])
         deg[u] += 1
         deg[v] += 1
         self.mask[p] |= 1 << self.index[e]
-        self.size[p] += 1
         self.page_edges[p].append(e)
 
     def _undo(self, p: int, e: Edge) -> None:
@@ -214,10 +210,8 @@ class _Engine:
         deg = self.deg[p]
         deg[u] -= 1
         deg[v] -= 1
-        if not deg[u] and not deg[v]:
-            self.comps[p] -= 1
+        self.free[p] += (not deg[u]) + (not deg[v])
         self.mask[p] &= ~(1 << self.index[e])
-        self.size[p] -= 1
         self.page_edges[p].pop()
 
     # pruning ------------------------------------------------------------
@@ -230,7 +224,7 @@ class _Engine:
         for p in range(b):
             if self.mask[p]:
                 open_pages.append(p)
-                capacity += n - self.comps[p] - self.size[p]
+                capacity += self.free[p]
         empties = b - len(open_pages)
         if remaining > capacity + empties * (n - 1):
             return True
@@ -372,7 +366,6 @@ def exact_value(
     order: CircularOrder | None = None,
     optimize_order: bool = False,
     crosscap_allowed: bool = False,
-    deterministic: bool = True,
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> ExactValueResult:
@@ -392,7 +385,6 @@ def exact_value(
             order=order,
             optimize_order=optimize_order,
             crosscap_allowed=crosscap_allowed,
-            deterministic=deterministic,
             node_limit=node_limit,
             time_limit=time_limit,
         ))

@@ -173,7 +173,7 @@ def test_criterion_6_resolve_strict_k6(tmp_path):
     journal = tmp_path / "journal.jsonl"
     t0 = time.time()
     code = main(["search", "--family", "K", "--n", "6", "--budget", "4",
-                 "--profile", "strict", "--optimize-order", "--deterministic",
+                 "--profile", "strict", "--optimize-order",
                  "--journal", str(journal)])
     elapsed = time.time() - t0
     assert code in (0, 1), "resolution required, abort is not acceptable"
@@ -209,7 +209,7 @@ def test_criterion_8_sparse_page(tmp_path):
     cert = tmp_path / "k6-minus-edge.json"
     t0 = time.time()
     code = main(["search", "--family", "K-e", "--n", "6", "--budget", "4",
-                 "--profile", "strict", "--optimize-order", "--deterministic",
+                 "--profile", "strict", "--optimize-order",
                  "--journal", str(journal), "--out", str(cert)])
     elapsed = time.time() - t0
     assert code in (0, 1), "resolution required, abort is not acceptable"

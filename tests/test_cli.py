@@ -21,7 +21,7 @@ from starbook.journal import load_records
 
 def test_construct_then_verify_pipeline(tmp_path):
     cert = tmp_path / "k6.json"
-    assert main(["construct", "--family", "K", "--n", "6", "--scheme", "relaxed",
+    assert main(["construct", "--n", "6", "--scheme", "relaxed",
                  "--out", str(cert)]) == 0
     assert main(["verify", str(cert), "--profile", "relaxed"]) == 0
 
@@ -120,6 +120,14 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["verify", str(bad)]) == 2
 
 
+def test_removed_options_are_usage_errors():
+    # Neither option was ever read: `--deterministic` changed nothing, and
+    # `construct --family O --scheme relaxed` silently built a K layout.
+    assert main(["search", "--family", "K", "--n", "4", "--budget", "3",
+                 "--deterministic"]) == 2
+    assert main(["construct", "--family", "K", "--n", "6", "--scheme", "relaxed"]) == 2
+
+
 def test_render_command(tmp_path):
     cert = tmp_path / "k6.json"
     out = tmp_path / "k6.svg"
@@ -146,6 +154,21 @@ def test_table_command(tmp_path, capsys):
     assert len(lines) == 6  # header + 5 rows
     row6 = next(line for line in lines if line.startswith("6"))
     assert "k*=4" in row6
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "line 2 is not a JSON object"),
+    ('{"timestamp": "2026-01-01T00:00:00+00:00"}', "line 2: "),
+])
+def test_table_malformed_journal_exits_2(tmp_path, capsys, line, message):
+    journal = tmp_path / "j.jsonl"
+    main(["search", "--family", "K", "--n", "4", "--budget", "3",
+          "--profile", "saonly", "--journal", str(journal)])
+    with open(journal, "a") as fh:
+        fh.write(line + "\n")
+    capsys.readouterr()
+    assert main(["table", "--n", "4..5", "--journal", str(journal)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def _tampered(layout, rng):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from starbook.journal import JournalRecord, append_record, load_records
@@ -34,6 +36,38 @@ def test_truncated_final_line_is_skipped(tmp_path):
         fh.write('{"timestamp": "2026-01-01T00:00:00+00:00", "family": "K", "par')
     records = load_records(path)
     assert len(records) == 1 and records[0].budget == 4
+
+
+def test_unknown_keys_are_ignored(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    append_record(path, _record(4, "unsat"))
+    doc = json.loads(path.read_text())
+    doc["schema"] = 2
+    doc["stats"] = {"nodes_per_depth": [1, 2]}
+    with open(path, "a") as fh:
+        fh.write(json.dumps(doc) + "\n")
+    records = load_records(path)
+    assert records[0] == records[1]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "line 2 is not a JSON object"),
+    ("7", "line 2 is not a JSON object"),
+    ('{"timestamp": "2026-01-01T00:00:00+00:00"}',
+     "line 2: .*missing 6 required .*'family', 'params', 'order_policy', 'profile', "
+     "'budget', and 'outcome'"),
+])
+def test_malformed_record_names_its_line(tmp_path, line, message):
+    path = tmp_path / "journal.jsonl"
+    append_record(path, _record(4, "unsat"))
+    with open(path, "a") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_records(path)
+    # The same line is no torn write when records follow it.
+    append_record(path, _record(5, "sat"))
+    with pytest.raises(ValueError, match=message):
+        load_records(path)
 
 
 def test_mid_file_corruption_is_an_error(tmp_path):

@@ -2,6 +2,7 @@ import pytest
 
 from starbook import (
     BookLayout,
+    CircularOrder,
     SimpleGraph,
     complete_graph,
     identity_order,
@@ -49,6 +50,19 @@ def test_render_refuses_invalid_without_force():
         render_svg(bad)
     svg = render_svg(bad, force=True)
     assert svg.startswith("<?xml")
+
+
+def test_forced_render_drops_off_spine_cap_edges():
+    # Vertex 4 is missing from the order, so the cap edge 1-4 cannot be
+    # drawn; as on disk pages it is dropped, and the cap is checked and
+    # drawn from the spine-only edges 2-5 and 3-6, which cross.
+    lay = relaxed_complete(3)
+    broken = BookLayout(lay.graph, CircularOrder((1, 2, 3, 5, 6)), lay.pages)
+    with pytest.raises(ValueError):
+        render_svg(broken)
+    svg = render_svg(broken, force=True)
+    cap_layer = svg.split('class="page crosscap"')[1].split("</g>")[0]
+    assert cap_layer.count("<line") == 4  # 2 through edges x 2 segments
 
 
 def test_mixed_cap_with_planar_edges():

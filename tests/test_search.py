@@ -14,6 +14,7 @@ from starbook import (
     solve,
     verify_layout,
 )
+from starbook.construct import literal_main_stars
 from starbook.search import canonical_orders
 from conftest import all_k5_subsets
 
@@ -148,6 +149,47 @@ def test_limits_abort():
     out = solve(SearchProblem(complete_graph(7), 5, Profile.STRICT,
                               order=identity_order(7), time_limit=0.0))
     assert out.status == "aborted" and out.reason == "time_limit"
+
+
+# Exact verdicts and node counts of the engine's traversal.  Any change to
+# the edge order, the page order, the pruning or the page state shows here.
+_PINNED_TRAVERSALS = {
+    "K7/strict/b5/identity": (
+        lambda: SearchProblem(complete_graph(7), 5, Profile.STRICT, order=identity_order(7)),
+        "unsat", 48_631),
+    "K6/strict/b4/all-orders": (
+        lambda: SearchProblem(complete_graph(6), 4, Profile.STRICT, optimize_order=True),
+        "unsat", 56_934),
+    "K8/strict/b6/fixed-mains": (
+        lambda: SearchProblem(complete_graph(8), 6, Profile.STRICT, order=identity_order(8),
+                              fixed_pages=literal_main_stars(4)),
+        "unsat", 388),
+    "K6/relaxed-cap/b3": (
+        lambda: SearchProblem(complete_graph(6), 3, Profile.RELAXED, order=identity_order(6),
+                              crosscap_allowed=True),
+        "unsat", 62),
+    "K6/relaxed-cap/b4": (
+        lambda: SearchProblem(complete_graph(6), 4, Profile.RELAXED, order=identity_order(6),
+                              crosscap_allowed=True),
+        "sat", 8_863),
+    "K6/saonly/b3": (
+        lambda: SearchProblem(complete_graph(6), 3, Profile.STAR_FORESTS_ONLY),
+        "unsat", 356),
+    "K7/saonly/b5": (
+        lambda: SearchProblem(complete_graph(7), 5, Profile.STAR_FORESTS_ONLY),
+        "sat", 3_927),
+    "K6-e/strict/b4/all-orders": (
+        lambda: SearchProblem(minus_edge(complete_graph(6), (1, 2)), 4, Profile.STRICT,
+                              optimize_order=True),
+        "sat", 297),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_TRAVERSALS))
+def test_pinned_traversal(case):
+    make, status, nodes = _PINNED_TRAVERSALS[case]
+    out = solve(make())
+    assert (out.status, out.nodes) == (status, nodes)
 
 
 def test_canonical_orders_count():
