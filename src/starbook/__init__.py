@@ -11,7 +11,6 @@ from .model import (
     crosscap_page,
     disk_page,
     edge,
-    edge_set,
     identity_order,
     interleaves,
 )
@@ -54,7 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BookLayout", "CircularOrder", "Edge", "Page", "PageKind", "SimpleGraph",
-    "arc_contains", "crosscap_page", "disk_page", "edge", "edge_set",
+    "arc_contains", "crosscap_page", "disk_page", "edge",
     "identity_order", "interleaves",
     "CrossCapSplit", "Profile", "StarForestCheck", "VerificationReport",
     "Violation", "crosscap_page_valid", "disk_page_valid", "is_star_forest",

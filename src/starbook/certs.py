@@ -10,6 +10,10 @@ assumed.
 A plain-text edge-list format is also accepted for graph input: the
 vertex count on the first line, then one "u v" pair per line,
 whitespace-tolerant.
+
+Both formats reject more than MAX_VERTICES vertices, because a
+certificate's graph is rebuilt from its vertex count alone (K_n has
+n(n-1)/2 edges).
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from .model import (
 FORMAT_TAG = "starbook-cert/1"
 
 FAMILIES = ("K", "O", "Cpow", "K-e")
+
+MAX_VERTICES = 1024
 
 
 class CertificateError(ValueError):
@@ -105,6 +111,8 @@ def parse_certificate(text: str) -> tuple[BookLayout, dict]:
     n = doc.get("n")
     if not isinstance(n, int) or n < 0:
         raise CertificateError(f"bad vertex count {n!r}")
+    if n > MAX_VERTICES:
+        raise CertificateError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     order = doc.get("order")
     if not isinstance(order, list) or not all(isinstance(v, int) for v in order):
         raise CertificateError("order must be a list of integers")
@@ -166,6 +174,8 @@ def parse_edge_list(text: str) -> SimpleGraph:
         n = int(head[0])
     except ValueError:
         raise ValueError(f"line {lineno}: bad vertex count {head[0]!r}") from None
+    if n > MAX_VERTICES:
+        raise ValueError(f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
     edges = set()
     for lineno, parts in tokens[1:]:
         if len(parts) != 2:

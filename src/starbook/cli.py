@@ -215,8 +215,6 @@ def _parse_range(spec: str) -> list[int]:
 
 
 def _cmd_table(args) -> int:
-    if (args.family or "K") != "K":
-        raise ValueError("table currently supports --family K")
     records = load_records(args.journal)
     ns = _parse_range(args.n)
     cols = [p.value for p in Profile]
@@ -303,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--journal", default=DEFAULT_JOURNAL)
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("table", help="bounds and journal-established values")
-    p.add_argument("--family", default="K")
+    p = sub.add_parser("table", help="bounds and journal-established values of K_n")
     p.add_argument("--n", required=True, help="single value or range like 4..12")
     p.add_argument("--journal", default=DEFAULT_JOURNAL)
     p.set_defaults(func=_cmd_table)

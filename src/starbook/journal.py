@@ -36,6 +36,23 @@ class JournalRecord:
         return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+# JSON types of the record fields, checked on load.
+_FIELD_TYPES = {
+    "timestamp": str,
+    "family": str,
+    "params": dict,
+    "order_policy": str,
+    "profile": str,
+    "budget": int,
+    "outcome": str,
+    "k_star": (int, type(None)),
+    "nodes": int,
+    "wall_time": (int, float),
+    "certificate_digest": (str, type(None)),
+    "extra": dict,
+}
+
+
 def append_record(path, record: JournalRecord) -> None:
     line = json.dumps(asdict(record), sort_keys=True)
     with open(path, "a", encoding="utf-8") as fh:
@@ -46,7 +63,8 @@ def append_record(path, record: JournalRecord) -> None:
 
 def load_records(path) -> list[JournalRecord]:
     """Read all records; a truncated final line is skipped, unknown keys
-    are ignored, and any other malformed line is a ValueError."""
+    are ignored, and any other malformed line (not an object, a missing
+    field, a field of the wrong type) is a ValueError."""
     p = Path(path)
     if not p.exists():
         return []
@@ -64,8 +82,13 @@ def load_records(path) -> list[JournalRecord]:
             raise ValueError(f"{path}: corrupt journal line {i + 1}")
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: journal line {i + 1} is not a JSON object")
+        known = {k: v for k, v in doc.items() if k in names}
+        for k, v in known.items():
+            if isinstance(v, bool) or not isinstance(v, _FIELD_TYPES[k]):
+                raise ValueError(f"{path}: journal line {i + 1}: field {k!r} has "
+                                 f"the wrong type ({type(v).__name__})")
         try:
-            records.append(JournalRecord(**{k: v for k, v in doc.items() if k in names}))
+            records.append(JournalRecord(**known))
         except TypeError as exc:  # a required field is missing
             raise ValueError(f"{path}: journal line {i + 1}: {exc}") from None
     return records

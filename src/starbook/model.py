@@ -32,11 +32,6 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def edge_set(pairs) -> frozenset[Edge]:
-    """Canonicalize an iterable of vertex pairs into a set of edge keys."""
-    return frozenset(edge(u, v) for u, v in pairs)
-
-
 @dataclass(frozen=True)
 class SimpleGraph:
     """A simple undirected graph on vertices 1..n."""
@@ -63,9 +58,6 @@ class SimpleGraph:
             deg[u] += 1
             deg[v] += 1
         return max(deg) if deg else 0
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self.edges
 
 
 @dataclass(frozen=True)

@@ -3,22 +3,20 @@
 Vertices sit on a circle in spine order; each page becomes one <g>
 layer.  Disk-page edges are straight chords.  On the cross-cap page the
 through chords are drawn as two straight segments meeting a small
-central circle at antipodal contact points, laid out from the accepted
-rotation of the endpoint occurrence sequence; planar cap edges stay
+central circle at antipodal contact points: through chord j runs from
+occurrence j to occurrence j + k of the through chords' endpoint
+occurrences in spine order (see verify.py); planar cap edges stay
 chords.  Output bytes are a pure function of the certificate.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import chain
 
 from .model import BookLayout, Page, PageKind
-from .verify import (
-    Profile,
-    crosscap_occurrences,
-    crosscap_page_valid,
-    verify_layout,
-)
+from .verify import Profile, crosscap_page_valid, verify_layout
 
 _SIZE = 640.0
 _CENTER = _SIZE / 2
@@ -95,12 +93,12 @@ def render_svg(layout: BookLayout, force: bool = False) -> str:
             for u, v in planar:
                 out.append(_line(*_vertex_xy(order, u), *_vertex_xy(order, v), color))
             if through:
-                occ = crosscap_occurrences(order, through)
+                ends = Counter(chain.from_iterable(through))
+                occ = [v for v in order.seq for _ in range(ends[v])]
                 k = len(through)
-                rot = split.rotation
                 for j in range(k):
-                    a = occ[(rot + j) % (2 * k)]
-                    b = occ[(rot + j + k) % (2 * k)]
+                    a = occ[j]
+                    b = occ[j + k]
                     phi = math.pi * (j + 0.5) / k - math.pi / 2
                     cx1 = _CENTER + _CAP_RADIUS * math.cos(phi)
                     cy1 = _CENTER + _CAP_RADIUS * math.sin(phi)

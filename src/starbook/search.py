@@ -8,6 +8,9 @@ page may only be opened in index order, which breaks page symmetry.
 Under the relaxed profile the last page index is the cross-cap page and
 is re-validated on every insertion.
 
+An edge is its index in the sorted edge list, and a page is one int
+bitset of those indices plus a count of the vertices it leaves free.
+
 Pruning: a counting bound from the fact that distinct stars of a star
 forest can never merge (a page with c star components holds at most
 n - c edges), and, on disk-only profiles, a greedy pairwise-crossing
@@ -117,10 +120,14 @@ class _Engine:
 
         fixed = {e for page in problem.fixed_pages for e in page}
         self.all_edges = sorted(problem.graph.edges)
-        self.index = {e: i for i, e in enumerate(self.all_edges)}
-        assignable = [e for e in self.all_edges if e not in fixed]
-
         m = len(self.all_edges)
+        # Edge i is bit i of every edge set; inc[v] holds the edges at v.
+        self.inc = [0] * (self.n + 1)
+        for i, (u, v) in enumerate(self.all_edges):
+            self.inc[u] |= 1 << i
+            self.inc[v] |= 1 << i
+        assignable = [i for i, e in enumerate(self.all_edges) if e not in fixed]
+
         self.conflict = [0] * m
         if self.geometric:
             for i in range(m):
@@ -128,91 +135,67 @@ class _Engine:
                     if interleaves(order, self.all_edges[i], self.all_edges[j]):
                         self.conflict[i] |= 1 << j
                         self.conflict[j] |= 1 << i
-        if self.geometric:
-            conflict_deg = {
-                e: sum(
-                    1 for f in assignable
-                    if f != e and (self.conflict[self.index[e]] >> self.index[f]) & 1
-                )
-                for e in assignable
-            }
-            assignable.sort(key=lambda e: (-conflict_deg[e], e))
+            assignable_mask = sum(1 << i for i in assignable)
+            assignable.sort(key=lambda i: (-(self.conflict[i] & assignable_mask).bit_count(), i))
         self.assignable = assignable
 
         # Greedy pairwise-crossing clique per suffix, for the disk-only bound.
         self.use_clique = self.geometric and not problem.crosscap_allowed
         self.cliques: list[list[int]] = []
         if self.use_clique:
-            idxs = [self.index[e] for e in assignable]
             for d in range(len(assignable) + 1):
                 clique: list[int] = []
-                for ei in idxs[d:]:
+                for ei in assignable[d:]:
                     if all((self.conflict[ei] >> c) & 1 for c in clique):
                         clique.append(ei)
                 self.cliques.append(clique)
 
         b = self.budget
-        self.mask = [0] * b
-        self.deg = [[0] * (self.n + 1) for _ in range(b)]
+        self.mask = [0] * b  # the edges on each page
         self.free = [self.n] * b  # vertices that no edge of the page touches
-        self.page_edges: list[list[Edge]] = [[] for _ in range(b)]
         for p, page in enumerate(problem.fixed_pages):
             for e in page:
-                if not self._feasible(p, e):
+                i = self.all_edges.index(e)
+                if not self._feasible(p, i):
                     raise ValueError(f"fixed page {p} is not a valid star-forest disk page")
-                self._apply(p, e)
+                self._apply(p, i)
 
     # page state updates -------------------------------------------------
 
-    def _partner(self, p: int, x: int) -> int:
-        for a, b in self.page_edges[p]:
-            if a == x:
-                return b
-            if b == x:
-                return a
-        raise AssertionError("partner lookup on isolated vertex")
+    def _edges(self, mask: int) -> list[Edge]:
+        return [e for j, e in enumerate(self.all_edges) if mask >> j & 1]
 
-    def _star_ok(self, p: int, u: int, v: int) -> bool:
-        deg = self.deg[p]
-        du, dv = deg[u], deg[v]
-        if du and dv:
+    def _feasible(self, p: int, i: int) -> bool:
+        u, v = self.all_edges[i]
+        mask, inc = self.mask[p], self.inc
+        at_u, at_v = mask & inc[u], mask & inc[v]
+        if at_u and at_v:
             return False
-        if not du and not dv:
-            return True
-        x = u if du else v
-        if deg[x] >= 2:
-            return True
-        return deg[self._partner(p, x)] == 1
-
-    def _feasible(self, p: int, e: Edge) -> bool:
-        u, v = e
-        if not self._star_ok(p, u, v):
-            return False
+        at = at_u or at_v
+        if at and not at & (at - 1):
+            # The one edge (a, b) at this vertex must be a whole star.
+            a, b = self.all_edges[at.bit_length() - 1]
+            if mask & inc[a] != mask & inc[b]:
+                return False
         if not self.geometric:
             return True
         if p == self.cap_idx:
-            probe = Page(PageKind.CROSSCAP, tuple(self.page_edges[p]) + (e,))
+            probe = Page(PageKind.CROSSCAP, tuple(self._edges(mask | 1 << i)))
             ok, _ = crosscap_page_valid(self.order, probe)
             return ok
-        return not (self.conflict[self.index[e]] & self.mask[p])
+        return not (self.conflict[i] & mask)
 
-    def _apply(self, p: int, e: Edge) -> None:
-        u, v = e
-        deg = self.deg[p]
-        self.free[p] -= (not deg[u]) + (not deg[v])
-        deg[u] += 1
-        deg[v] += 1
-        self.mask[p] |= 1 << self.index[e]
-        self.page_edges[p].append(e)
+    def _apply(self, p: int, i: int) -> None:
+        u, v = self.all_edges[i]
+        mask, inc = self.mask[p], self.inc
+        self.free[p] -= (not mask & inc[u]) + (not mask & inc[v])
+        self.mask[p] = mask | 1 << i
 
-    def _undo(self, p: int, e: Edge) -> None:
-        u, v = e
-        deg = self.deg[p]
-        deg[u] -= 1
-        deg[v] -= 1
-        self.free[p] += (not deg[u]) + (not deg[v])
-        self.mask[p] &= ~(1 << self.index[e])
-        self.page_edges[p].pop()
+    def _undo(self, p: int, i: int) -> None:
+        u, v = self.all_edges[i]
+        mask, inc = self.mask[p] & ~(1 << i), self.inc
+        self.mask[p] = mask
+        self.free[p] += (not mask & inc[u]) + (not mask & inc[v])
 
     # pruning ------------------------------------------------------------
 
@@ -257,7 +240,7 @@ class _Engine:
             return True
         if self._prune(depth):
             return False
-        e = self.assignable[depth]
+        i = self.assignable[depth]
         opened_empty = False
         for p in range(self.budget):
             if p == self.cap_idx:
@@ -266,25 +249,25 @@ class _Engine:
                 if opened_empty:
                     break
                 opened_empty = True
-            if self._feasible(p, e):
-                self._apply(p, e)
+            if self._feasible(p, i):
+                self._apply(p, i)
                 if self._rec(depth + 1):
                     return True
-                self._undo(p, e)
-        if self.cap_idx >= 0 and self._feasible(self.cap_idx, e):
-            self._apply(self.cap_idx, e)
+                self._undo(p, i)
+        if self.cap_idx >= 0 and self._feasible(self.cap_idx, i):
+            self._apply(self.cap_idx, i)
             if self._rec(depth + 1):
                 return True
-            self._undo(self.cap_idx, e)
+            self._undo(self.cap_idx, i)
         return False
 
     def extract_layout(self) -> BookLayout:
         pages = []
         for p in range(self.budget):
-            if not self.page_edges[p]:
+            if not self.mask[p]:
                 continue
             kind = PageKind.CROSSCAP if p == self.cap_idx else PageKind.DISK
-            pages.append(Page(kind, tuple(sorted(self.page_edges[p]))))
+            pages.append(Page(kind, tuple(self._edges(self.mask[p]))))
         return BookLayout(self.problem.graph, self.order, tuple(pages))
 
 

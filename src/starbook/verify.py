@@ -9,6 +9,15 @@ can be split as a1 .. ak b1 .. bk with chord i joining ai to bi.
 Occurrences at a shared vertex form a consecutive tie block whose
 internal arrangement is free.  Chords that cross nothing stay in the
 planar part of the page.
+
+The through family routes iff no two of its chords are vertex-disjoint
+and non-crossing.  (=>) In a split a1 .. ak b1 .. bk the ends of any
+two through chords alternate, so two vertex-disjoint ones cross.
+(<=) Order each tie block at v like the other ends of its chords,
+nearest clockwise from v first (in a star forest: each centre like its
+leaves).  Chords sharing v then cross too, so the k through chords
+cross pairwise with distinct ends, each has k - 1 ends on either side,
+and occurrence j pairs with occurrence j + k from any start.
 """
 
 from __future__ import annotations
@@ -196,29 +205,12 @@ class CrossCapSplit:
     """Certificate for a valid cross-cap page.
 
     `through` chords pass through the cap once, `planar` ones not at
-    all; `rotation` is the index of the accepted rotation of the
-    through-endpoint occurrence sequence (see crosscap_occurrences).
+    all.  Through chord j joins occurrence j to occurrence j + k of the
+    through chords' endpoint occurrences in spine order.
     """
 
     through: frozenset[Edge]
     planar: frozenset[Edge]
-    rotation: int
-
-
-def crosscap_occurrences(order: CircularOrder, through) -> list[int]:
-    """Endpoint occurrences of the through chords, grouped by spine position.
-
-    One entry per (vertex, incident through chord); occurrences of a
-    shared vertex are consecutive (a tie block).
-    """
-    count: Counter = Counter()
-    for u, v in through:
-        count[u] += 1
-        count[v] += 1
-    occ: list[int] = []
-    for v in order.seq:
-        occ.extend([v] * count.get(v, 0))
-    return occ
 
 
 def crosscap_page_valid(order: CircularOrder, page: Page) -> tuple[bool, CrossCapSplit | None]:
@@ -227,9 +219,8 @@ def crosscap_page_valid(order: CircularOrder, page: Page) -> tuple[bool, CrossCa
     The forced through set is exactly the chords having at least one
     crossing partner within the page: a planar chord can never cross a
     through chord, so nothing smaller or larger needs to be tested.
-    The through set is accepted iff some rotation of its endpoint
-    occurrence sequence pairs occurrence i with occurrence i+k such that
-    the induced vertex pairs are exactly the through chords.
+    The through set is accepted iff no two of its chords are
+    vertex-disjoint and non-crossing (see the module docstring).
     """
     if page.kind is not PageKind.CROSSCAP:
         raise ValueError("crosscap_page_valid requires a cross-cap page")
@@ -259,32 +250,12 @@ def _crosscap_valid(order: CircularOrder, edges) -> tuple[bool, CrossCapSplit | 
                 flagged[i] = flagged[j] = True
             else:
                 parallel.append((i, j))
-    through = [e for e, f in zip(es, flagged) if f]
-    planar = frozenset(e for e, f in zip(es, flagged) if not f)
-    if not through:
-        return True, CrossCapSplit(frozenset(), planar, 0)
-    # Fast reject: in any routable family two through chords either
-    # cross or share an endpoint (their occurrences alternate or tie).
     for i, j in parallel:
         if flagged[i] and flagged[j]:
             return False, None
-    occ = crosscap_occurrences(order, through)
-    k = len(through)
-    m = 2 * k
-    want = sorted(through)
-    for rot in range(m):
-        pairs = []
-        ok = True
-        for i in range(k):
-            a = occ[(rot + i) % m]
-            b = occ[(rot + i + k) % m]
-            if a == b:
-                ok = False
-                break
-            pairs.append((a, b) if a < b else (b, a))
-        if ok and sorted(pairs) == want:
-            return True, CrossCapSplit(frozenset(through), planar, rot)
-    return False, None
+    through = frozenset(e for e, f in zip(es, flagged) if f)
+    planar = frozenset(e for e, f in zip(es, flagged) if not f)
+    return True, CrossCapSplit(through, planar)
 
 
 def verify_layout(layout: BookLayout, profile: Profile) -> VerificationReport:

@@ -1,6 +1,8 @@
 """Shared brute-force oracles kept independent of the library's own logic."""
 
+import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -90,6 +92,47 @@ def brute_noncrossing(order, edges):
             if interleaves(order, es[i], es[j]):
                 return False, (es[i], es[j])
     return True, None
+
+
+def brute_crosscap_through(order, edges):
+    """Definition-level cross-cap oracle: the least routable through set.
+
+    Tries every subset S of the page as the through set, smallest first.
+    S is accepted when the chords outside it cross no chord of the page
+    and some rotation of its endpoint occurrences (spine order, ties
+    adjacent) pairs occurrence j with occurrence j + k into exactly the
+    chords of S.  Returns the first accepted S, or None when none is.
+    """
+    es = sorted({tuple(sorted(e)) for e in edges})
+    for k in range(len(es) + 1):
+        for through in itertools.combinations(es, k):
+            planar = [e for e in es if e not in through]
+            if any(segments_cross(order, e, f) for e in planar for f in es):
+                continue
+            ends = Counter(v for e in through for v in e)
+            occ = [v for v in order.seq for _ in range(ends[v])]
+            for rot in range(2 * k or 1):
+                pairs = sorted(
+                    tuple(sorted((occ[(rot + j) % (2 * k)], occ[(rot + j + k) % (2 * k)])))
+                    for j in range(k)
+                )
+                if pairs == list(through):
+                    return frozenset(through)
+    return None
+
+
+def star_forest_edge_sets(n):
+    """Every edge set of K_n that is a star forest, the empty set included."""
+    edges = sorted(complete_graph(n).edges)
+
+    def extend(start, chosen):
+        yield chosen
+        for i in range(start, len(edges)):
+            grown = chosen + [edges[i]]
+            if brute_star_forest(grown):  # star forests are closed under subsets
+                yield from extend(i + 1, grown)
+
+    return extend(0, [])
 
 
 def all_k5_subsets():

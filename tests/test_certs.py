@@ -75,6 +75,8 @@ def test_parse_rejects_malformed():
         parse_certificate(json.dumps({**doc, "format": "other/9"}))
     with pytest.raises(CertificateError):
         parse_certificate(json.dumps({**doc, "n": "six"}))
+    with pytest.raises(CertificateError, match="exceeds the limit of 1024"):
+        parse_certificate(json.dumps({**doc, "n": 10**9}))  # K_n is never built
     with pytest.raises(CertificateError):
         parse_certificate(json.dumps({**doc, "order": [1, "x"]}))
     bad_pages = {**doc, "pages": [{"kind": "sphere", "edges": []}]}
@@ -137,3 +139,6 @@ def test_edge_list_parsing():
         parse_edge_list("4\n1 2 3\n")
     with pytest.raises(ValueError):
         parse_edge_list("2\n1 5\n")
+    assert parse_edge_list("1024\n1 1024\n").n == 1024
+    with pytest.raises(ValueError, match="line 1: vertex count 1025 exceeds"):
+        parse_edge_list("1025\n1 2\n")

@@ -118,14 +118,22 @@ def test_usage_errors_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert main(["verify", str(bad)]) == 2
+    bad.write_text(json.dumps({"format": "starbook-cert/1", "n": 10**9, "order": [],
+                               "pages": []}))
+    assert main(["verify", str(bad)]) == 2  # rejected before K_n is built
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1025\n1 2\n")
+    assert main(["search", "--graph", str(huge), "--budget", "3"]) == 2
 
 
 def test_removed_options_are_usage_errors():
-    # Neither option was ever read: `--deterministic` changed nothing, and
-    # `construct --family O --scheme relaxed` silently built a K layout.
+    # None of these options was ever read: `--deterministic` changed nothing,
+    # `construct --family O --scheme relaxed` silently built a K layout, and
+    # `table --family` rejected every value but its default K.
     assert main(["search", "--family", "K", "--n", "4", "--budget", "3",
                  "--deterministic"]) == 2
     assert main(["construct", "--family", "K", "--n", "6", "--scheme", "relaxed"]) == 2
+    assert main(["table", "--family", "K", "--n", "4"]) == 2
 
 
 def test_render_command(tmp_path):
@@ -148,7 +156,7 @@ def test_table_command(tmp_path, capsys):
     main(["search", "--family", "K", "--n", "6", "--budget", "3",
           "--profile", "saonly", "--journal", str(journal)])
     capsys.readouterr()
-    assert main(["table", "--family", "K", "--n", "4..8", "--journal", str(journal)]) == 0
+    assert main(["table", "--n", "4..8", "--journal", str(journal)]) == 0
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
     assert len(lines) == 6  # header + 5 rows
@@ -159,6 +167,10 @@ def test_table_command(tmp_path, capsys):
 @pytest.mark.parametrize("line, message", [
     ("[1, 2]", "line 2 is not a JSON object"),
     ('{"timestamp": "2026-01-01T00:00:00+00:00"}', "line 2: "),
+    ('{"timestamp": "t", "family": "K", "params": {"n": 4}, "order_policy": "none", '
+     '"profile": "saonly", "budget": "x", "outcome": "sat"}', "line 2: field 'budget'"),
+    ('{"timestamp": "t", "family": "K", "params": [5], "order_policy": "none", '
+     '"profile": "saonly", "budget": 4, "outcome": "sat"}', "line 2: field 'params'"),
 ])
 def test_table_malformed_journal_exits_2(tmp_path, capsys, line, message):
     journal = tmp_path / "j.jsonl"

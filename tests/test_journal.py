@@ -55,6 +55,12 @@ def test_unknown_keys_are_ignored(tmp_path):
     ('{"timestamp": "2026-01-01T00:00:00+00:00"}',
      "line 2: .*missing 6 required .*'family', 'params', 'order_policy', 'profile', "
      "'budget', and 'outcome'"),
+    ('{"timestamp": "t", "family": "K", "params": {"n": 6}, "order_policy": "identity", '
+     '"profile": "strict", "budget": "x", "outcome": "sat"}',
+     "line 2: field 'budget' has the wrong type \\(str\\)"),
+    ('{"timestamp": "t", "family": "K", "params": [5], "order_policy": "identity", '
+     '"profile": "strict", "budget": 4, "outcome": "sat"}',
+     "line 2: field 'params' has the wrong type \\(list\\)"),
 ])
 def test_malformed_record_names_its_line(tmp_path, line, message):
     path = tmp_path / "journal.jsonl"

@@ -178,6 +178,14 @@ _PINNED_TRAVERSALS = {
     "K7/saonly/b5": (
         lambda: SearchProblem(complete_graph(7), 5, Profile.STAR_FORESTS_ONLY),
         "sat", 3_927),
+    "K8/relaxed-cap/b5": (
+        lambda: SearchProblem(complete_graph(8), 5, Profile.RELAXED, order=identity_order(8),
+                              crosscap_allowed=True),
+        "sat", 77_359),
+    "K9/relaxed-cap/b5": (
+        lambda: SearchProblem(complete_graph(9), 5, Profile.RELAXED, order=identity_order(9),
+                              crosscap_allowed=True),
+        "unsat", 23_095),
     "K6-e/strict/b4/all-orders": (
         lambda: SearchProblem(minus_edge(complete_graph(6), (1, 2)), 4, Profile.STRICT,
                               optimize_order=True),

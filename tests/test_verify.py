@@ -29,7 +29,14 @@ from starbook.verify import (
     ORDER_NOT_PERMUTATION,
     TOO_MANY_CROSSCAPS,
 )
-from conftest import all_k5_subsets, brute_components, brute_noncrossing, brute_star_forest
+from conftest import (
+    all_k5_subsets,
+    brute_components,
+    brute_crosscap_through,
+    brute_noncrossing,
+    brute_star_forest,
+    star_forest_edge_sets,
+)
 
 
 # --- is_star_forest ---------------------------------------------------------
@@ -151,6 +158,23 @@ def test_crosscap_accepts_antipodal_family(r):
     page = crosscap_page([(i, i + r) for i in range(1, r + 1)])
     ok, split = crosscap_page_valid(o, page)
     assert ok and len(split.through) == r
+
+
+@pytest.mark.parametrize("n, count", [(6, 562), (7, 3151)])
+def test_crosscap_matches_subset_oracle(n, count):
+    # Every order is the identity order after relabelling, so this covers
+    # every star-forest page of K_6 and K_7 on every spine order.
+    o = identity_order(n)
+    seen = 0
+    for edges in star_forest_edge_sets(n):
+        seen += 1
+        ok, split = crosscap_page_valid(o, crosscap_page(edges))
+        through = brute_crosscap_through(o, edges)
+        assert ok == (through is not None), edges
+        if ok:
+            assert split.through == through, edges
+            assert split.planar == set(edges) - through, edges
+    assert seen == count
 
 
 def test_disk_valid_implies_crosscap_valid_exhaustive():
