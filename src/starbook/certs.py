@@ -4,8 +4,9 @@ Format tag "starbook-cert/1".  Edges are stored with u < v and sorted
 lexicographically within each page; disk pages precede the cross-cap
 page; serialization is byte-identical for equal layouts.  The meta map
 records the graph family and parameters so a verifier can rebuild the
-graph being decomposed; without it the complete graph on n vertices is
-assumed.
+graph being decomposed through construct.family_graph; without a family
+the complete graph on n vertices is assumed, and a family parameter
+that is not a JSON integer is a CertificateError.
 
 A plain-text edge-list format is also accepted for graph input: the
 vertex count on the first line, then one "u v" pair per line,
@@ -22,7 +23,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .construct import complete_graph, cycle_power, minus_edge, octahedron
+from .construct import family_graph
 from .model import (
     BookLayout,
     CircularOrder,
@@ -33,8 +34,6 @@ from .model import (
 )
 
 FORMAT_TAG = "starbook-cert/1"
-
-FAMILIES = ("K", "O", "Cpow", "K-e")
 
 MAX_VERTICES = 1024
 
@@ -65,31 +64,6 @@ def serialize_layout(layout: BookLayout, meta: dict | None = None) -> str:
 
 def certificate_digest(layout: BookLayout, meta: dict | None = None) -> str:
     return hashlib.sha256(serialize_layout(layout, meta).encode()).hexdigest()
-
-
-def graph_from_meta(n: int, meta: dict) -> SimpleGraph:
-    """Rebuild the decomposed graph from certificate metadata.
-
-    Unknown families are rejected; a missing family defaults to K_n.
-    """
-    family = meta.get("family")
-    if family is None or family == "K":
-        return complete_graph(n)
-    if family == "O":
-        r = int(meta.get("r", n // 2))
-        if 2 * r != n:
-            raise CertificateError(f"octahedron meta r={r} inconsistent with n={n}")
-        return octahedron(r)
-    if family == "Cpow":
-        if "k" not in meta:
-            raise CertificateError("cycle-power certificate lacks meta.k")
-        return cycle_power(n, int(meta["k"]))
-    if family == "K-e":
-        e = meta.get("e", [1, 2])
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
-            raise CertificateError(f"bad removed-edge meta: {e!r}")
-        return minus_edge(complete_graph(n), edge(int(e[0]), int(e[1])))
-    raise CertificateError(f"unknown graph family {family!r}")
 
 
 def parse_certificate(text: str) -> tuple[BookLayout, dict]:
@@ -144,7 +118,7 @@ def parse_certificate(text: str) -> tuple[BookLayout, dict]:
     if not isinstance(meta, dict):
         raise CertificateError("meta must be an object")
     try:
-        graph = graph_from_meta(n, meta)
+        graph = family_graph(n, meta)
     except ValueError as exc:
         raise CertificateError(str(exc)) from None
     return BookLayout(graph, CircularOrder(tuple(order)), tuple(pages)), meta

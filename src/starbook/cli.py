@@ -22,10 +22,10 @@ from .certs import (
 )
 from .construct import StrictLayoutUnavailable
 from .journal import DEFAULT_JOURNAL, JournalRecord, append_record, load_records
-from .model import PageKind, edge, identity_order
+from .model import identity_order
 from .render import render_svg
 from .search import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, SearchProblem, solve
-from .verify import Profile, verify_layout
+from .verify import Profile, layout_profile, verify_layout
 
 _PROFILES = {p.value: p for p in Profile}
 
@@ -92,14 +92,9 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _infer_profile(layout) -> Profile:
-    caps = any(p.kind is PageKind.CROSSCAP for p in layout.pages)
-    return Profile.RELAXED if caps else Profile.STRICT
-
-
 def _cmd_verify(args) -> int:
     layout, _meta = load_certificate(args.certificate)
-    profile = _PROFILES[args.profile] if args.profile else _infer_profile(layout)
+    profile = _PROFILES[args.profile] if args.profile else layout_profile(layout)
     report = verify_layout(layout, profile)
     if args.json:
         import json
@@ -114,35 +109,30 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _family_graph(args):
+def _search_graph(args):
+    """The graph to search, its family and the params the journal records."""
     if args.graph:
         g = parse_edge_list(Path(args.graph).read_text())
         return g, f"file:{Path(args.graph).name}", {"n": g.n, "m": g.m}
-    family = args.family or "K"
-    if family == "K":
-        if args.n is None:
-            raise ValueError("family K needs --n")
-        return cons.complete_graph(args.n), "K", {"n": args.n}
-    if family == "O":
-        r = args.r if args.r is not None else (args.n // 2 if args.n else None)
-        if r is None:
-            raise ValueError("family O needs --r or an even --n")
-        return cons.octahedron(r), "O", {"r": r, "n": 2 * r}
-    if family == "Cpow":
-        if args.n is None or args.k is None:
-            raise ValueError("family Cpow needs --n and --k")
-        return cons.cycle_power(args.n, args.k), "Cpow", {"n": args.n, "k": args.k}
-    if family == "K-e":
-        if args.n is None:
-            raise ValueError("family K-e needs --n")
-        e = edge(1, 2)
-        g = cons.minus_edge(cons.complete_graph(args.n), e)
-        return g, "K-e", {"n": args.n, "e": list(e)}
-    raise ValueError(f"unknown family {family!r}")
+    n, family = args.n, args.family
+    if family == "O":  # --r alone implies n = 2r, and --n alone r = n // 2
+        r = args.r
+        if r is None and n is not None:
+            r = n // 2
+        if n is None and r is not None:
+            n = 2 * r
+        params = {"r": r, "n": n}
+    elif family == "Cpow":
+        params = {"n": n, "k": args.k}
+    elif family == "K-e":
+        params = {"n": n, "e": [1, 2]}
+    else:
+        params = {"n": n}
+    return cons.family_graph(params["n"], {"family": family, **params}), family, params
 
 
 def _cmd_search(args) -> int:
-    graph, family, params = _family_graph(args)
+    graph, family, params = _search_graph(args)
     profile = _PROFILES[args.profile]
     if args.optimize_order:
         order = None
@@ -158,7 +148,6 @@ def _cmd_search(args) -> int:
         budget=args.budget,
         profile=profile,
         order=order,
-        crosscap_allowed=args.crosscap,
         optimize_order=args.optimize_order,
         node_limit=args.node_limit,
         time_limit=args.time_limit,
@@ -283,15 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="exact search for a layout within a page budget")
-    p.add_argument("--family", choices=("K", "O", "Cpow", "K-e"), default=None)
+    p.add_argument("--family", choices=cons.FAMILIES, default="K")
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--k", type=int, help="power for the Cpow family")
     p.add_argument("--graph", help="edge-list file instead of a built-in family")
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--profile", choices=sorted(_PROFILES), default="strict")
-    p.add_argument("--crosscap", action="store_true",
-                   help="allow one cross-cap page (relaxed profile)")
     p.add_argument("--optimize-order", action="store_true",
                    help="search all spine orders up to symmetry (n <= 9)")
     p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)

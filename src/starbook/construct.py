@@ -1,5 +1,7 @@
 """Graph families, explicit page constructions, and closed-form bounds.
 
+family_graph is the one map from a family name and its parameters to
+a graph, for certificates and the search command alike.
 The relaxed construction for K_{2r} uses r two-star disk pages plus one
 cross-cap page holding the r antipodal edges.  The strict construction
 transcribed literally from its source text is kept as its own operation
@@ -28,6 +30,8 @@ from .model import (
 from .verify import Profile, verify_layout
 
 STRICT_R_MAX = 8  # largest r that strict_complete accepts
+
+FAMILIES = ("K", "O", "Cpow", "K-e")  # the graph families family_graph builds
 
 
 class StrictLayoutUnavailable(Exception):
@@ -75,6 +79,40 @@ def minus_edge(g: SimpleGraph, e: Edge) -> SimpleGraph:
     if e not in g.edges:
         raise ValueError(f"edge {e[0]}-{e[1]} is not in the graph")
     return SimpleGraph(g.n, g.edges - {e})
+
+
+def family_graph(n: int, params: dict) -> SimpleGraph:
+    """The graph that a family name and its parameters describe.
+
+    `params` is a certificate's meta map, or a journal record's params
+    with its family added; a missing family means K_n.  O takes r
+    (default n // 2) with 2r = n, Cpow takes k, and K-e takes the
+    removed edge e (default [1, 2]).  n and every parameter must be
+    JSON integers; anything else raises ValueError.
+    """
+    family = params.get("family")
+
+    def integer(key: str, value) -> int:
+        if type(value) is not int:
+            raise ValueError(f"graph family {family or 'K'} needs an integer {key}, got {value!r}")
+        return value
+
+    integer("n", n)
+    if family is None or family == "K":
+        return complete_graph(n)
+    if family == "O":
+        r = integer("r", params.get("r", n // 2))
+        if 2 * r != n:
+            raise ValueError(f"octahedron r={r} does not match n={n}")
+        return octahedron(r)
+    if family == "Cpow":
+        return cycle_power(n, integer("k", params.get("k")))
+    if family == "K-e":
+        e = params.get("e", [1, 2])
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(type(x) is int for x in e)):
+            raise ValueError(f"graph family K-e needs e as two integers, got {e!r}")
+        return minus_edge(complete_graph(n), edge(*e))
+    raise ValueError(f"unknown graph family {family!r}")
 
 
 def _star(center: int, first_leaf: int, count: int, n: int) -> list[Edge]:

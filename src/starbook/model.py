@@ -51,14 +51,6 @@ class SimpleGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def max_degree(self) -> int:
-        deg = [0] * (self.n + 1)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return max(deg) if deg else 0
-
 
 @dataclass(frozen=True)
 class CircularOrder:

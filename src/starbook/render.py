@@ -16,7 +16,7 @@ from collections import Counter
 from itertools import chain
 
 from .model import BookLayout, Page, PageKind
-from .verify import Profile, crosscap_page_valid, verify_layout
+from .verify import crosscap_page_valid, layout_profile, verify_layout
 
 _SIZE = 640.0
 _CENTER = _SIZE / 2
@@ -47,10 +47,7 @@ def _line(x1, y1, x2, y2, color) -> str:
 
 def render_svg(layout: BookLayout, force: bool = False) -> str:
     """Render a layout as an SVG document; refuses invalid layouts unless forced."""
-    profile = (Profile.RELAXED
-               if any(p.kind is PageKind.CROSSCAP for p in layout.pages)
-               else Profile.STRICT)
-    report = verify_layout(layout, profile)
+    report = verify_layout(layout, layout_profile(layout))
     if not report.passed and not force:
         raise ValueError(
             "refusing to render a certificate that fails verification "

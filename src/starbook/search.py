@@ -3,10 +3,10 @@
 Decides whether a graph's edges fit into k pages under a profile,
 returning a verified certificate or an exhaustion proof.  Edges are
 assigned in a fixed order (most crossing conflicts first, ties broken
-lexicographically); pages are tried in index order and a new empty disk
-page may only be opened in index order, which breaks page symmetry.
-Under the relaxed profile the last page index is the cross-cap page and
-is re-validated on every insertion.
+lexicographically); pages are tried in index order and only the first
+empty disk page may be opened, which breaks page symmetry.  The relaxed
+profile, and only it, gives the last page index to the cross-cap page,
+which is re-validated on every insertion and tried last.
 
 An edge is its index in the sorted edge list, and a page is one int
 bitset of those indices plus a count of the vertices it leaves free.
@@ -50,7 +50,7 @@ class SearchProblem:
     budget: int
     profile: Profile
     order: CircularOrder | None = None
-    crosscap_allowed: bool = False
+    crosscap_allowed: bool | None = None  # set from the profile
     optimize_order: bool = False
     node_limit: int = DEFAULT_NODE_LIMIT
     time_limit: float = DEFAULT_TIME_LIMIT
@@ -60,8 +60,11 @@ class SearchProblem:
         object.__setattr__(self, "profile", Profile(self.profile))
         if self.budget < 1:
             raise ValueError("page budget must be at least 1")
-        if self.crosscap_allowed and self.profile is not Profile.RELAXED:
-            raise ValueError("a cross-cap page requires the relaxed profile")
+        relaxed = self.profile is Profile.RELAXED
+        if self.crosscap_allowed is None:
+            object.__setattr__(self, "crosscap_allowed", relaxed)
+        elif self.crosscap_allowed != relaxed:
+            raise ValueError("the relaxed profile, and only it, has a cross-cap page")
         if self.optimize_order:
             if self.order is not None:
                 raise ValueError("optimize_order requires the order to be unset")
@@ -243,22 +246,15 @@ class _Engine:
         i = self.assignable[depth]
         opened_empty = False
         for p in range(self.budget):
-            if p == self.cap_idx:
-                continue
-            if not self.mask[p]:
+            if not self.mask[p] and p != self.cap_idx:
                 if opened_empty:
-                    break
+                    continue
                 opened_empty = True
             if self._feasible(p, i):
                 self._apply(p, i)
                 if self._rec(depth + 1):
                     return True
                 self._undo(p, i)
-        if self.cap_idx >= 0 and self._feasible(self.cap_idx, i):
-            self._apply(self.cap_idx, i)
-            if self._rec(depth + 1):
-                return True
-            self._undo(self.cap_idx, i)
         return False
 
     def extract_layout(self) -> BookLayout:
@@ -348,7 +344,6 @@ def exact_value(
     hi: int,
     order: CircularOrder | None = None,
     optimize_order: bool = False,
-    crosscap_allowed: bool = False,
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> ExactValueResult:
@@ -367,7 +362,6 @@ def exact_value(
             profile=profile,
             order=order,
             optimize_order=optimize_order,
-            crosscap_allowed=crosscap_allowed,
             node_limit=node_limit,
             time_limit=time_limit,
         ))

@@ -118,38 +118,16 @@ class VerificationReport:
 class StarForestCheck(NamedTuple):
     ok: bool
     witness: Edge | None
-    components: int
 
 
 def is_star_forest(edges) -> StarForestCheck:
     """Decide whether an edge set is a vertex-disjoint union of stars.
 
     Equivalently: no edge has both endpoints of degree >= 2.  On failure
-    the witness is the first such edge in sorted order.  The component
-    count covers connected components among non-isolated vertices and is
-    reported whether or not the check passes.
+    the witness is the first such edge in sorted order.
     """
-    es = {(u, v) if u < v else (v, u) for u, v in edges}
-    witness = _star_forest_violation(es)
-
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    unions = 0
-    for u, v in es:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            unions += 1
-    components = len(parent) - unions
-    return StarForestCheck(witness is None, witness, components)
+    witness = _star_forest_violation({(u, v) if u < v else (v, u) for u, v in edges})
+    return StarForestCheck(witness is None, witness)
 
 
 def _star_forest_violation(edges) -> Edge | None:
@@ -256,6 +234,13 @@ def _crosscap_valid(order: CircularOrder, edges) -> tuple[bool, CrossCapSplit | 
     through = frozenset(e for e, f in zip(es, flagged) if f)
     planar = frozenset(e for e, f in zip(es, flagged) if not f)
     return True, CrossCapSplit(through, planar)
+
+
+def layout_profile(layout: BookLayout) -> Profile:
+    """The profile a layout is drawn for: relaxed iff it has a cross-cap page."""
+    if any(p.kind is PageKind.CROSSCAP for p in layout.pages):
+        return Profile.RELAXED
+    return Profile.STRICT
 
 
 def verify_layout(layout: BookLayout, profile: Profile) -> VerificationReport:

@@ -36,29 +36,6 @@ def brute_star_forest(edges) -> bool:
     return True
 
 
-def brute_components(edges) -> int:
-    es = {tuple(sorted(e)) for e in edges}
-    adj: dict[int, set[int]] = {}
-    for u, v in es:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    seen: set[int] = set()
-    comps = 0
-    for start in adj:
-        if start in seen:
-            continue
-        comps += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return comps
-
-
 def segments_cross(order, e, f) -> bool:
     """Geometric oracle: straight chords on the unit circle properly intersect.
 

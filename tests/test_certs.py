@@ -108,7 +108,7 @@ def test_parse_keeps_semantic_problems_for_verifier():
     assert FOREIGN_EDGE in verify_layout(layout, Profile.STRICT).kinds()
 
 
-def test_graph_from_meta_families():
+def test_certificate_meta_families():
     lay = relaxed_complete(3)
     text = serialize_layout(lay, {"family": "K-e", "n": 6, "e": [1, 2]})
     parsed, _ = parse_certificate(text)

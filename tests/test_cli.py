@@ -14,7 +14,7 @@ from starbook import (
     strict_literal,
     verify_layout,
 )
-from starbook.certs import save_certificate
+from starbook.certs import save_certificate, serialize_layout
 from starbook.cli import main
 from starbook.journal import load_records
 
@@ -100,6 +100,16 @@ def test_search_families(tmp_path):
     assert fams == ["O", "Cpow", "K-e"]
 
 
+def test_relaxed_search_has_its_crosscap_page(tmp_path):
+    # Relaxed K_6 fits 4 pages only with the cross-cap page; a disk-only
+    # search would journal UNSAT here.
+    journal = tmp_path / "j.jsonl"
+    assert main(["search", "--n", "6", "--budget", "4", "--profile", "relaxed",
+                 "--journal", str(journal)]) == 0
+    rec = load_records(journal)[0]
+    assert (rec.family, rec.outcome, rec.nodes) == ("K", "sat", 8_863)
+
+
 def test_search_graph_file_input(tmp_path):
     graph = tmp_path / "g.txt"
     graph.write_text("4\n1 2\n2 3\n3 4\n1 4\n")
@@ -124,14 +134,25 @@ def test_usage_errors_exit_2(tmp_path):
     huge = tmp_path / "huge.txt"
     huge.write_text("1025\n1 2\n")
     assert main(["search", "--graph", str(huge), "--budget", "3"]) == 2
+    # Family parameters must be JSON integers, and O needs n = 2r.
+    for meta in ({"family": "O", "r": [3]}, {"family": "O", "r": True},
+                 {"family": "Cpow", "k": "2"}, {"family": "K-e", "e": [[1], 2]}):
+        bad.write_text(serialize_layout(relaxed_complete(3), meta))
+        assert main(["verify", str(bad)]) == 2, meta
+    assert main(["search", "--family", "O", "--n", "7", "--budget", "3",
+                 "--journal", str(tmp_path / "j.jsonl")]) == 2
+    assert not (tmp_path / "j.jsonl").exists()
 
 
 def test_removed_options_are_usage_errors():
     # None of these options was ever read: `--deterministic` changed nothing,
-    # `construct --family O --scheme relaxed` silently built a K layout, and
-    # `table --family` rejected every value but its default K.
+    # `construct --family O --scheme relaxed` silently built a K layout,
+    # `table --family` rejected every value but its default K, and the
+    # relaxed profile always has its cross-cap page, so `--crosscap` is gone.
     assert main(["search", "--family", "K", "--n", "4", "--budget", "3",
                  "--deterministic"]) == 2
+    assert main(["search", "--family", "K", "--n", "6", "--budget", "4",
+                 "--profile", "relaxed", "--crosscap"]) == 2
     assert main(["construct", "--family", "K", "--n", "6", "--scheme", "relaxed"]) == 2
     assert main(["table", "--family", "K", "--n", "4"]) == 2
 

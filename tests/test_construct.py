@@ -18,7 +18,7 @@ from starbook import (
     strict_literal,
     verify_layout,
 )
-from starbook.construct import literal_main_stars
+from starbook.construct import family_graph, literal_main_stars
 from starbook.verify import DUPLICATE_EDGE, MISSING_EDGE
 
 
@@ -56,6 +56,21 @@ def test_minus_edge():
     assert g.m == 14 and (5, 6) not in g.edges
     with pytest.raises(ValueError):
         minus_edge(g, (5, 6))
+
+
+def test_family_graph():
+    assert family_graph(6, {}) == complete_graph(6)
+    assert family_graph(6, {"family": "O"}) == octahedron(3)
+    assert family_graph(6, {"family": "O", "r": 3}) == octahedron(3)
+    assert family_graph(6, {"family": "Cpow", "k": 2}) == cycle_power(6, 2)
+    assert family_graph(6, {"family": "K-e"}) == minus_edge(complete_graph(6), (1, 2))
+    assert family_graph(6, {"family": "K-e", "e": [6, 5]}) == minus_edge(complete_graph(6), (5, 6))
+    for n, params in [(True, {}), (7, {"family": "O"}), (6, {"family": "O", "r": 3.0}),
+                      (6, {"family": "Cpow"}), (6, {"family": "Cpow", "k": False}),
+                      (6, {"family": "K-e", "e": [1]}), (6, {"family": "K-e", "e": ["1", 2]}),
+                      (6, {"family": "C"})]:
+        with pytest.raises(ValueError):
+            family_graph(n, params)
 
 
 # --- star pages --------------------------------------------------------------

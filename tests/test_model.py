@@ -26,11 +26,10 @@ def test_edge_canonicalization():
 
 def test_simple_graph_validation():
     g = SimpleGraph(4, frozenset({(1, 2), (3, 4)}))
-    assert g.m == 2 and g.max_degree == 1
+    assert g.m == 2
     with pytest.raises(ValueError):
         SimpleGraph(3, frozenset({(1, 4)}))
     assert complete_graph(6).m == 15
-    assert complete_graph(6).max_degree == 5
 
 
 def test_arc_contains_examples():

@@ -1,11 +1,16 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from starbook import (
+    CircularOrder,
     Profile,
     SearchProblem,
     SimpleGraph,
     complete_graph,
     cycle_power,
+    edge,
     exact_value,
     identity_order,
     minus_edge,
@@ -14,7 +19,8 @@ from starbook import (
     solve,
     verify_layout,
 )
-from starbook.construct import literal_main_stars
+from starbook.construct import family_graph, literal_main_stars
+from starbook.journal import load_records
 from starbook.search import canonical_orders
 from conftest import all_k5_subsets
 
@@ -25,6 +31,11 @@ def test_problem_invariants():
         SearchProblem(g, 0, Profile.STRICT)
     with pytest.raises(ValueError):
         SearchProblem(g, 2, Profile.STRICT, crosscap_allowed=True)
+    # The relaxed profile, and only it, has its cross-cap page.
+    with pytest.raises(ValueError):
+        SearchProblem(g, 3, Profile.RELAXED, crosscap_allowed=False)
+    assert SearchProblem(g, 3, Profile.RELAXED).crosscap_allowed is True
+    assert SearchProblem(g, 3, Profile.STRICT).crosscap_allowed is False
     with pytest.raises(ValueError):
         SearchProblem(g, 2, Profile.STRICT, order=identity_order(4), optimize_order=True)
     with pytest.raises(ValueError):
@@ -125,11 +136,9 @@ def test_monotonicity_in_budget():
 def test_profile_ordering(graph):
     o = identity_order(graph.n)
     ks = {}
-    for profile, cap in ((Profile.STRICT, False), (Profile.RELAXED, True),
-                         (Profile.STAR_FORESTS_ONLY, False)):
+    for profile in (Profile.STRICT, Profile.RELAXED, Profile.STAR_FORESTS_ONLY):
         r = exact_value(graph, profile, 1, graph.n,
-                        order=None if profile is Profile.STAR_FORESTS_ONLY else o,
-                        crosscap_allowed=cap)
+                        order=None if profile is Profile.STAR_FORESTS_ONLY else o)
         ks[profile] = r.k_star
     assert ks[Profile.STRICT] >= ks[Profile.RELAXED] >= ks[Profile.STAR_FORESTS_ONLY]
 
@@ -198,6 +207,53 @@ def test_pinned_traversal(case):
     make, status, nodes = _PINNED_TRAVERSALS[case]
     out = solve(make())
     assert (out.status, out.nodes) == (status, nodes)
+
+
+# Every committed journal row that a test can afford, searched again.  The
+# two rows of 8M nodes (K_8 at budget 6, K_10 at budget 7) are criterion 4's.
+_JOURNAL_ROWS = [rec for rec in load_records(Path(__file__).parent.parent / "results" / "journal.jsonl")
+                 if rec.nodes <= 300_000]
+
+
+@pytest.mark.parametrize("rec", _JOURNAL_ROWS, ids=lambda rec: (
+    f"{rec.family}{rec.params['n']}/{rec.profile}/b{rec.budget}/{rec.order_policy}"))
+def test_journal_replay(rec):
+    graph = family_graph(rec.params["n"], {"family": rec.family, **rec.params})
+    out = solve(SearchProblem(
+        graph, rec.budget, rec.profile,
+        order=identity_order(graph.n) if rec.order_policy == "identity" else None,
+        optimize_order=rec.order_policy == "optimize",
+    ))
+    assert (out.status, out.nodes) == (rec.outcome, rec.nodes)
+
+
+# A layout does not depend on vertex names: relabelling the graph and its
+# spine order together keeps the verdict (node counts may change, because
+# edge-order ties are broken by label).
+_RELABEL_CASES = {
+    "K6/strict/b4": (complete_graph(6), Profile.STRICT, 4),
+    "K6/strict/b5": (complete_graph(6), Profile.STRICT, 5),
+    "K7/strict/b5": (complete_graph(7), Profile.STRICT, 5),
+    "K6/relaxed/b3": (complete_graph(6), Profile.RELAXED, 3),
+    "K6/relaxed/b4": (complete_graph(6), Profile.RELAXED, 4),
+    "O3/strict/b2": (octahedron(3), Profile.STRICT, 2),
+    "O3/strict/b3": (octahedron(3), Profile.STRICT, 3),
+    "C8^2/strict/b3": (cycle_power(8, 2), Profile.STRICT, 3),
+    "K6-e/strict/b4": (minus_edge(complete_graph(6), (1, 2)), Profile.STRICT, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RELABEL_CASES))
+def test_verdict_invariant_under_relabelling(case):
+    graph, profile, budget = _RELABEL_CASES[case]
+    want = solve(SearchProblem(graph, budget, profile, order=identity_order(graph.n))).status
+    for seed in range(3):
+        perm = list(range(1, graph.n + 1))
+        random.Random(seed).shuffle(perm)  # vertex v becomes perm[v - 1]
+        relabelled = SimpleGraph(graph.n, frozenset(
+            edge(perm[u - 1], perm[v - 1]) for u, v in graph.edges))
+        got = solve(SearchProblem(relabelled, budget, profile, order=CircularOrder(perm)))
+        assert got.status == want, (case, seed)
 
 
 def test_canonical_orders_count():

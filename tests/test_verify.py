@@ -31,7 +31,6 @@ from starbook.verify import (
 )
 from conftest import (
     all_k5_subsets,
-    brute_components,
     brute_crosscap_through,
     brute_noncrossing,
     brute_star_forest,
@@ -42,17 +41,16 @@ from conftest import (
 # --- is_star_forest ---------------------------------------------------------
 
 def test_star_forest_examples():
-    assert is_star_forest([(1, 2), (1, 3), (1, 4)]) == (True, None, 1)
-    assert is_star_forest([(1, 2), (2, 3), (3, 4)]) == (False, (2, 3), 1)
-    assert is_star_forest([(1, 2), (1, 3), (4, 5), (4, 6)]) == (True, None, 2)
-    assert is_star_forest([]) == (True, None, 0)
+    assert is_star_forest([(1, 2), (1, 3), (1, 4)]) == (True, None)
+    assert is_star_forest([(1, 2), (2, 3), (3, 4)]) == (False, (2, 3))
+    assert is_star_forest([(1, 2), (1, 3), (4, 5), (4, 6)]) == (True, None)
+    assert is_star_forest([]) == (True, None)
 
 
 def test_star_forest_matches_brute_force_on_k5_subsets():
     for _mask, edges in all_k5_subsets():
-        ok, witness, comps = is_star_forest(edges)
+        ok, witness = is_star_forest(edges)
         assert ok == brute_star_forest(edges)
-        assert comps == brute_components(edges)
         if not ok:
             deg = {}
             for u, v in edges:
