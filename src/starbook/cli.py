@@ -112,9 +112,16 @@ def _cmd_verify(args) -> int:
 def _search_graph(args):
     """The graph to search, its family and the params the journal records."""
     if args.graph:
+        given = [f"--{f}" for f in ("family", "n", "r", "k") if getattr(args, f) is not None]
+        if given:
+            raise ValueError(f"--graph cannot be combined with {', '.join(given)}")
         g = parse_edge_list(Path(args.graph).read_text())
         return g, f"file:{Path(args.graph).name}", {"n": g.n, "m": g.m}
-    n, family = args.n, args.family
+    n, family = args.n, args.family or "K"
+    if args.r is not None and family != "O":
+        raise ValueError(f"--r applies to family O, not {family}")
+    if args.k is not None and family != "Cpow":
+        raise ValueError(f"--k applies to family Cpow, not {family}")
     if family == "O":  # --r alone implies n = 2r, and --n alone r = n // 2
         r = args.r
         if r is None and n is not None:
@@ -272,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="exact search for a layout within a page budget")
-    p.add_argument("--family", choices=cons.FAMILIES, default="K")
+    p.add_argument("--family", choices=cons.FAMILIES, help="default: K")
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--k", type=int, help="power for the Cpow family")

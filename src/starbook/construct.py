@@ -29,7 +29,7 @@ from .model import (
 )
 from .verify import Profile, verify_layout
 
-STRICT_R_MAX = 8  # largest r that strict_complete accepts
+STRICT_R_MAX = 6  # largest r that strict_complete accepts; the searches beyond it cannot finish
 
 FAMILIES = ("K", "O", "Cpow", "K-e")  # the graph families family_graph builds
 

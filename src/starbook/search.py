@@ -6,10 +6,14 @@ assigned in a fixed order (most crossing conflicts first, ties broken
 lexicographically); pages are tried in index order and only the first
 empty disk page may be opened, which breaks page symmetry.  The relaxed
 profile, and only it, gives the last page index to the cross-cap page,
-which is re-validated on every insertion and tried last.
+which is tried last.
 
 An edge is its index in the sorted edge list, and a page is one int
 bitset of those indices plus a count of the vertices it leaves free.
+Each chord has a bitset of the chords crossing it and, when there is a
+cross-cap page, one of the chords parallel to it (no shared vertex, no
+crossing); the cross-cap page applies `verify`'s pairwise rule with
+them, and `verify.crosscap_page_valid` must confirm every rejection.
 
 Pruning: a counting bound from the fact that distinct stars of a star
 forest can never merge (a page with c star components holds at most
@@ -131,13 +135,21 @@ class _Engine:
             self.inc[v] |= 1 << i
         assignable = [i for i, e in enumerate(self.all_edges) if e not in fixed]
 
+        # conflict[i]: the chords crossing chord i.  parallel[i], built only
+        # when there is a cross-cap page: the chords that share no vertex
+        # with chord i and do not cross it.
         self.conflict = [0] * m
+        self.parallel = [0] * m
         if self.geometric:
             for i in range(m):
                 for j in range(i + 1, m):
-                    if interleaves(order, self.all_edges[i], self.all_edges[j]):
+                    e, f = self.all_edges[i], self.all_edges[j]
+                    if interleaves(order, e, f):
                         self.conflict[i] |= 1 << j
                         self.conflict[j] |= 1 << i
+                    elif self.cap_idx >= 0 and not set(e) & set(f):
+                        self.parallel[i] |= 1 << j
+                        self.parallel[j] |= 1 << i
             assignable_mask = sum(1 << i for i in assignable)
             assignable.sort(key=lambda i: (-(self.conflict[i] & assignable_mask).bit_count(), i))
         self.assignable = assignable
@@ -182,11 +194,41 @@ class _Engine:
                 return False
         if not self.geometric:
             return True
-        if p == self.cap_idx:
-            probe = Page(PageKind.CROSSCAP, tuple(self._edges(mask | 1 << i)))
-            ok, _ = crosscap_page_valid(self.order, probe)
-            return ok
-        return not (self.conflict[i] & mask)
+        if not self.conflict[i] & mask:
+            return True
+        if p != self.cap_idx:
+            return False
+        return self._cap_feasible(mask | 1 << i)
+
+    def _cap_feasible(self, mask: int) -> bool:
+        """The pairwise rule of `verify` on a cross-cap page's edge set:
+        no two chords that cross some chord of the page may be parallel.
+
+        Each rejection is confirmed by `crosscap_page_valid`, so an UNSAT
+        verdict rests only on disk conflicts and on the verifier's own
+        rejections; a wrong accept is caught when the witness is verified.
+        """
+        conflict, parallel = self.conflict, self.parallel
+        flagged = 0  # crossing is symmetric: the members some member crosses
+        rest = mask
+        while rest:
+            low = rest & -rest
+            flagged |= conflict[low.bit_length() - 1]
+            rest ^= low
+        flagged &= mask
+        rest = flagged
+        while rest:
+            low = rest & -rest
+            if parallel[low.bit_length() - 1] & flagged:
+                break
+            rest ^= low
+        else:
+            return True
+        probe = Page(PageKind.CROSSCAP, tuple(self._edges(mask)))
+        if crosscap_page_valid(self.order, probe)[0]:
+            raise RuntimeError("engine rejected a cross-cap page that the verifier accepts: "
+                               + ", ".join(f"{u}-{v}" for u, v in probe.edges))
+        return False
 
     def _apply(self, p: int, i: int) -> None:
         u, v = self.all_edges[i]

@@ -141,6 +141,20 @@ def test_usage_errors_exit_2(tmp_path):
         assert main(["verify", str(bad)]) == 2, meta
     assert main(["search", "--family", "O", "--n", "7", "--budget", "3",
                  "--journal", str(tmp_path / "j.jsonl")]) == 2
+    # A family flag the chosen family does not take, or any with --graph.
+    graph = tmp_path / "g.txt"
+    graph.write_text("4\n1 2\n2 3\n")
+    for argv in (["--family", "Cpow", "--n", "6", "--k", "2", "--r", "9"],
+                 ["--n", "6", "--r", "3"],
+                 ["--family", "K-e", "--n", "6", "--r", "3"],
+                 ["--family", "O", "--r", "3", "--k", "2"],
+                 ["--family", "K", "--n", "6", "--k", "2"],
+                 ["--graph", str(graph), "--family", "K"],
+                 ["--graph", str(graph), "--n", "4"],
+                 ["--graph", str(graph), "--r", "2"],
+                 ["--graph", str(graph), "--k", "2"]):
+        assert main(["search", *argv, "--budget", "3",
+                     "--journal", str(tmp_path / "j.jsonl")]) == 2, argv
     assert not (tmp_path / "j.jsonl").exists()
 
 

@@ -216,8 +216,9 @@ def test_strict_complete_repair_is_infeasible_for_r4():
 
 
 def test_strict_complete_r_max_guard():
-    with pytest.raises(ValueError):
-        strict_complete(9)
+    for r in (7, 9):
+        with pytest.raises(ValueError):
+            strict_complete(r)
     with pytest.raises(ValueError):
         strict_complete(1)
 

@@ -19,10 +19,13 @@ from starbook import (
     solve,
     verify_layout,
 )
+from starbook import search
 from starbook.construct import family_graph, literal_main_stars
 from starbook.journal import load_records
-from starbook.search import canonical_orders
-from conftest import all_k5_subsets
+from starbook.model import crosscap_page
+from starbook.search import _Engine, canonical_orders
+from starbook.verify import crosscap_page_valid
+from conftest import all_k5_subsets, star_forest_edge_sets
 
 
 def test_problem_invariants():
@@ -207,6 +210,54 @@ def test_pinned_traversal(case):
     make, status, nodes = _PINNED_TRAVERSALS[case]
     out = solve(make())
     assert (out.status, out.nodes) == (status, nodes)
+
+
+def _spine(n, shuffled):
+    seq = list(range(1, n + 1))
+    if shuffled:
+        random.Random(n).shuffle(seq)
+    return CircularOrder(tuple(seq))
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["identity", "shuffled"])
+@pytest.mark.parametrize("n", [6, 7])
+def test_engine_crosscap_rule_matches_verifier(n, shuffled):
+    """On every star-forest chord set S of K_n, adding a chord e of S to
+    the valid cap page S - e is accepted by the engine iff the verifier
+    accepts S.  A wrong rejection raises inside the engine."""
+    order = _spine(n, shuffled)
+    problem = SearchProblem(complete_graph(n), 2, Profile.RELAXED, order=order)
+    engine = _Engine(problem, order, node_budget=0, deadline=0.0)
+    cap = engine.cap_idx
+    bit = {e: 1 << j for j, e in enumerate(engine.all_edges)}
+    seen = set()
+    for chords in star_forest_edge_sets(n):
+        want = crosscap_page_valid(order, crosscap_page(chords))[0]
+        for e in chords:
+            rest = [f for f in chords if f != e]
+            if not crosscap_page_valid(order, crosscap_page(rest))[0]:
+                continue
+            engine.mask[cap] = sum(bit[f] for f in rest)
+            got = engine._feasible(cap, engine.all_edges.index(e))
+            assert got == want, (chords, e)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_engine_confirms_each_crosscap_rejection(monkeypatch):
+    """The engine calls `search.crosscap_page_valid` on each cross-cap
+    rejection, and only to confirm it; the benchmark counts these calls."""
+    results = []
+
+    def counting(order, page):
+        result = crosscap_page_valid(order, page)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(search, "crosscap_page_valid", counting)
+    out = solve(SearchProblem(complete_graph(6), 4, Profile.RELAXED, order=identity_order(6)))
+    assert (out.status, out.nodes) == ("sat", 8_863)
+    assert results and all(r == (False, None) for r in results)
 
 
 # Every committed journal row that a test can afford, searched again.  The
