@@ -214,7 +214,7 @@ def _cmd_table(args) -> int:
     records = load_records(args.journal)
     ns = _parse_range(args.n)
     cols = [p.value for p in Profile]
-    print("n   sa_lower bt_lower " + " ".join(f"{c:>12}" for c in cols))
+    print("n   sa_lower bt_lower st_lower " + " ".join(f"{c:>12}" for c in cols))
     for n in ns:
         g = cons.complete_graph(n)
         b = cons.bounds(g, "K")
@@ -238,7 +238,8 @@ def _cmd_table(args) -> int:
             else:
                 cells.append("?")
         bt = b.bt_lower if b.bt_lower is not None else "-"
-        print(f"{n:<3} {b.sa_lower!s:>8} {bt!s:>8} " + " ".join(f"{c:>12}" for c in cells))
+        print(f"{n:<3} {b.sa_lower!s:>8} {bt!s:>8} {b.strict_lower!s:>8} "
+              + " ".join(f"{c:>12}" for c in cells))
     return 0
 
 

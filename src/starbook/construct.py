@@ -293,18 +293,24 @@ class BoundsSummary:
     sa_lower: int | None
     bt_lower: int | None
     arboricity: int | None
+    strict_lower: int | None
 
 
 def bounds(g: SimpleGraph, family: str | None = None) -> BoundsSummary:
     """Edge-count lower bounds: book thickness for any graph with n >= 4,
-    and for complete graphs also star arboricity and arboricity."""
+    and for complete graphs also star arboricity, arboricity and the
+    strict page count n - 1: the convex K_n cannot be split into fewer
+    noncrossing star forests (Pach, Saghafian and Schnider, GD 2023)."""
     n, m = g.n, g.m
     bt_lower = None
     if n >= 4:
         bt_lower = max(0, math.ceil((m - n) / (n - 3)))
     sa_lower = None
     arboricity = None
+    strict_lower = None
     if family == "K":
         sa_lower = n - 1 if n <= 3 else 1 + math.ceil(n / 2)
         arboricity = 0 if n <= 1 else math.ceil(n / 2)
-    return BoundsSummary(n=n, m=m, sa_lower=sa_lower, bt_lower=bt_lower, arboricity=arboricity)
+        strict_lower = n - 1
+    return BoundsSummary(n=n, m=m, sa_lower=sa_lower, bt_lower=bt_lower,
+                         arboricity=arboricity, strict_lower=strict_lower)

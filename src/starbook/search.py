@@ -8,18 +8,27 @@ empty disk page may be opened, which breaks page symmetry.  The relaxed
 profile, and only it, gives the last page index to the cross-cap page,
 which is tried last.
 
-An edge is its index in the sorted edge list, and a page is one int
-bitset of those indices plus a count of the vertices it leaves free.
-Each chord has a bitset of the chords crossing it and, when there is a
-cross-cap page, one of the chords parallel to it (no shared vertex, no
-crossing); the cross-cap page applies `verify`'s pairwise rule with
-them, and `verify.crosscap_page_valid` must confirm every rejection.
+An edge is its index in the sorted edge list.  Each chord has a bitset of
+the chords crossing it and, when there is a cross-cap page, one of the
+chords parallel to it (no shared vertex, no crossing).  Page p is kept
+as `mask[p]`, the bitset of its edges; `cross[p]`, the chords that cross
+some edge of it; and `free[p]`, the count of vertices that none of its
+edges touches.  One running integer, `slack = sum(free) - empty pages`,
+is the most edges the pages can still take.  Putting an edge on a page
+updates all of these in a few bitset operations, and backtracking puts
+back the saved page values, so the counting bound needs no walk over
+the pages.  The cross-cap page applies `verify`'s pairwise rule to its
+flagged chords (those crossing some chord of the page), read off
+`cross`, and `verify.crosscap_page_valid` must confirm every rejection;
+the engine remembers the pages it has confirmed, so each is confirmed
+once.
 
 Pruning: a counting bound from the fact that distinct stars of a star
 forest can never merge (a page with c star components holds at most
-n - c edges), and, on disk-only profiles, a greedy pairwise-crossing
-clique among the unassigned edges, whose members that fit no open page
-each demand a fresh page of their own.
+n - c edges, so no more than `slack` edges fit), and, on disk-only
+profiles, a greedy pairwise-crossing clique among the unassigned edges,
+whose members that cross every open page each demand a fresh page of
+their own.
 
 The search is sequential and canonical, so certificates are
 byte-identical across runs; the first witness found is the
@@ -128,11 +137,13 @@ class _Engine:
         fixed = {e for page in problem.fixed_pages for e in page}
         self.all_edges = sorted(problem.graph.edges)
         m = len(self.all_edges)
-        # Edge i is bit i of every edge set; inc[v] holds the edges at v.
-        self.inc = [0] * (self.n + 1)
+        # Edge i is bit i of every edge set; ends[i] holds the edges at
+        # either end of edge i, each end's set including i itself.
+        inc = [0] * (self.n + 1)
         for i, (u, v) in enumerate(self.all_edges):
-            self.inc[u] |= 1 << i
-            self.inc[v] |= 1 << i
+            inc[u] |= 1 << i
+            inc[v] |= 1 << i
+        self.ends = [(inc[u], inc[v]) for u, v in self.all_edges]
         assignable = [i for i, e in enumerate(self.all_edges) if e not in fixed]
 
         # conflict[i]: the chords crossing chord i.  parallel[i], built only
@@ -156,18 +167,21 @@ class _Engine:
 
         # Greedy pairwise-crossing clique per suffix, for the disk-only bound.
         self.use_clique = self.geometric and not problem.crosscap_allowed
-        self.cliques: list[list[int]] = []
+        self.clique_bits: list[int] = []
         if self.use_clique:
             for d in range(len(assignable) + 1):
-                clique: list[int] = []
+                clique = 0
                 for ei in assignable[d:]:
-                    if all((self.conflict[ei] >> c) & 1 for c in clique):
-                        clique.append(ei)
-                self.cliques.append(clique)
+                    if not clique & ~self.conflict[ei]:  # ei crosses every member
+                        clique |= 1 << ei
+                self.clique_bits.append(clique)
 
         b = self.budget
         self.mask = [0] * b  # the edges on each page
+        self.cross = [0] * b  # the chords crossing some edge of each page
         self.free = [self.n] * b  # vertices that no edge of the page touches
+        self.slack = b * (self.n - 1)  # sum(free) - empty pages
+        self.rejected: set[int] = set()  # cap pages the verifier has rejected
         for p, page in enumerate(problem.fixed_pages):
             for e in page:
                 i = self.all_edges.index(e)
@@ -181,41 +195,38 @@ class _Engine:
         return [e for j, e in enumerate(self.all_edges) if mask >> j & 1]
 
     def _feasible(self, p: int, i: int) -> bool:
-        u, v = self.all_edges[i]
-        mask, inc = self.mask[p], self.inc
-        at_u, at_v = mask & inc[u], mask & inc[v]
+        mask = self.mask[p]
+        if not mask:
+            return True
+        crosses = self.cross[p] >> i & 1
+        if crosses and p != self.cap_idx:
+            return False
+        at_u, at_v = self.ends[i]
+        at_u &= mask
+        at_v &= mask
         if at_u and at_v:
             return False
         at = at_u or at_v
         if at and not at & (at - 1):
-            # The one edge (a, b) at this vertex must be a whole star.
-            a, b = self.all_edges[at.bit_length() - 1]
-            if mask & inc[a] != mask & inc[b]:
+            # The one edge at this vertex must be a whole star.
+            at_a, at_b = self.ends[at.bit_length() - 1]
+            if mask & at_a != mask & at_b:
                 return False
-        if not self.geometric:
-            return True
-        if not self.conflict[i] & mask:
-            return True
-        if p != self.cap_idx:
-            return False
-        return self._cap_feasible(mask | 1 << i)
+        return not crosses or self._cap_feasible(i)
 
-    def _cap_feasible(self, mask: int) -> bool:
-        """The pairwise rule of `verify` on a cross-cap page's edge set:
+    def _cap_feasible(self, i: int) -> bool:
+        """The pairwise rule of `verify` on the cross-cap page plus chord i:
         no two chords that cross some chord of the page may be parallel.
 
-        Each rejection is confirmed by `crosscap_page_valid`, so an UNSAT
-        verdict rests only on disk conflicts and on the verifier's own
-        rejections; a wrong accept is caught when the witness is verified.
+        Each distinct rejected page is confirmed by `crosscap_page_valid`,
+        so an UNSAT verdict rests only on disk conflicts and on the
+        verifier's own rejections; a wrong accept is caught when the
+        witness is verified.
         """
-        conflict, parallel = self.conflict, self.parallel
-        flagged = 0  # crossing is symmetric: the members some member crosses
-        rest = mask
-        while rest:
-            low = rest & -rest
-            flagged |= conflict[low.bit_length() - 1]
-            rest ^= low
-        flagged &= mask
+        cap = self.cap_idx
+        mask = self.mask[cap] | 1 << i
+        flagged = (self.cross[cap] | self.conflict[i]) & mask
+        parallel = self.parallel
         rest = flagged
         while rest:
             low = rest & -rest
@@ -224,49 +235,45 @@ class _Engine:
             rest ^= low
         else:
             return True
-        probe = Page(PageKind.CROSSCAP, tuple(self._edges(mask)))
-        if crosscap_page_valid(self.order, probe)[0]:
-            raise RuntimeError("engine rejected a cross-cap page that the verifier accepts: "
-                               + ", ".join(f"{u}-{v}" for u, v in probe.edges))
+        if mask not in self.rejected:
+            probe = Page(PageKind.CROSSCAP, tuple(self._edges(mask)))
+            if crosscap_page_valid(self.order, probe)[0]:
+                raise RuntimeError("engine rejected a cross-cap page that the verifier accepts: "
+                                   + ", ".join(f"{u}-{v}" for u, v in probe.edges))
+            self.rejected.add(mask)
         return False
 
     def _apply(self, p: int, i: int) -> None:
-        u, v = self.all_edges[i]
-        mask, inc = self.mask[p], self.inc
-        self.free[p] -= (not mask & inc[u]) + (not mask & inc[v])
+        """Put edge i on page p; `_restore` takes it off again."""
+        at_u, at_v = self.ends[i]
+        mask = self.mask[p]
+        touched = (not mask & at_u) + (not mask & at_v)
+        self.slack += (not mask) - touched
+        self.free[p] -= touched
         self.mask[p] = mask | 1 << i
+        self.cross[p] |= self.conflict[i]
 
-    def _undo(self, p: int, i: int) -> None:
-        u, v = self.all_edges[i]
-        mask, inc = self.mask[p] & ~(1 << i), self.inc
-        self.mask[p] = mask
-        self.free[p] += (not mask & inc[u]) + (not mask & inc[v])
+    def _restore(self, p: int, mask: int, cross: int, free: int) -> None:
+        """Give page p back the values it had earlier on the current path."""
+        self.slack += free - self.free[p] - (not mask)
+        self.mask[p], self.cross[p], self.free[p] = mask, cross, free
 
     # pruning ------------------------------------------------------------
 
     def _prune(self, depth: int) -> bool:
-        n, b = self.n, self.budget
-        remaining = len(self.assignable) - depth
-        capacity = 0
-        open_pages = []
-        for p in range(b):
-            if self.mask[p]:
-                open_pages.append(p)
-                capacity += self.free[p]
-        empties = b - len(open_pages)
-        if remaining > capacity + empties * (n - 1):
+        if len(self.assignable) - depth > self.slack:
             return True
-        if self.use_clique:
-            clique = self.cliques[depth]
-            if len(clique) > empties:
-                need = 0
-                for c in clique:
-                    cm = self.conflict[c]
-                    if all(cm & self.mask[p] for p in open_pages):
-                        need += 1
-                        if need > empties:
-                            return True
-        return False
+        if not self.use_clique:
+            return False
+        # The clique members that cross every open page need empty pages.
+        need = self.clique_bits[depth]
+        empties = 0
+        for mask, cross in zip(self.mask, self.cross):
+            if mask:
+                need &= cross
+            else:
+                empties += 1
+        return need.bit_count() > empties
 
     # search -------------------------------------------------------------
 
@@ -286,17 +293,19 @@ class _Engine:
         if self._prune(depth):
             return False
         i = self.assignable[depth]
+        mask, cross, free = self.mask, self.cross, self.free
         opened_empty = False
         for p in range(self.budget):
-            if not self.mask[p] and p != self.cap_idx:
+            if not mask[p] and p != self.cap_idx:
                 if opened_empty:
                     continue
                 opened_empty = True
             if self._feasible(p, i):
+                was_mask, was_cross, was_free = mask[p], cross[p], free[p]
                 self._apply(p, i)
                 if self._rec(depth + 1):
                     return True
-                self._undo(p, i)
+                self._restore(p, was_mask, was_cross, was_free)
         return False
 
     def extract_layout(self) -> BookLayout:

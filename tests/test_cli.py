@@ -195,7 +195,9 @@ def test_table_command(tmp_path, capsys):
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
     assert len(lines) == 6  # header + 5 rows
+    assert lines[0].split()[:4] == ["n", "sa_lower", "bt_lower", "st_lower"]
     row6 = next(line for line in lines if line.startswith("6"))
+    assert row6.split()[:4] == ["6", "4", "3", "5"]
     assert "k*=4" in row6
 
 

@@ -246,7 +246,11 @@ def test_octahedron_pages_plus_matching_tile_complete_graph():
 
 def test_bounds_examples():
     b = bounds(complete_graph(8), "K")
-    assert (b.sa_lower, b.bt_lower, b.arboricity) == (5, 4, 4)
+    assert (b.sa_lower, b.bt_lower, b.arboricity, b.strict_lower) == (5, 4, 4, 7)
+    assert bounds(complete_graph(4), "K").strict_lower == 3  # GD 2023: n - 1
+    assert bounds(complete_graph(10), "K").strict_lower == 9
+    assert bounds(complete_graph(10)).strict_lower is None
+    assert bounds(octahedron(4)).strict_lower is None
     assert bounds(octahedron(4)).bt_lower == 4
     assert bounds(complete_graph(5), "K").sa_lower == 4  # = n - 1
     assert bounds(complete_graph(3), "K").sa_lower == 2

@@ -229,7 +229,7 @@ def test_engine_crosscap_rule_matches_verifier(n, shuffled):
     problem = SearchProblem(complete_graph(n), 2, Profile.RELAXED, order=order)
     engine = _Engine(problem, order, node_budget=0, deadline=0.0)
     cap = engine.cap_idx
-    bit = {e: 1 << j for j, e in enumerate(engine.all_edges)}
+    empty = engine.mask[cap], engine.cross[cap], engine.free[cap]
     seen = set()
     for chords in star_forest_edge_sets(n):
         want = crosscap_page_valid(order, crosscap_page(chords))[0]
@@ -237,27 +237,98 @@ def test_engine_crosscap_rule_matches_verifier(n, shuffled):
             rest = [f for f in chords if f != e]
             if not crosscap_page_valid(order, crosscap_page(rest))[0]:
                 continue
-            engine.mask[cap] = sum(bit[f] for f in rest)
+            for f in rest:
+                engine._apply(cap, engine.all_edges.index(f))
             got = engine._feasible(cap, engine.all_edges.index(e))
+            if rest:
+                engine._restore(cap, *empty)
             assert got == want, (chords, e)
             seen.add(got)
     assert seen == {True, False}
 
 
 def test_engine_confirms_each_crosscap_rejection(monkeypatch):
-    """The engine calls `search.crosscap_page_valid` on each cross-cap
-    rejection, and only to confirm it; the benchmark counts these calls."""
-    results = []
+    """The engine calls `search.crosscap_page_valid` once on each distinct
+    cross-cap page it rejects, and only to confirm the rejection; the
+    benchmark counts these calls."""
+    results, pages = [], []
 
     def counting(order, page):
         result = crosscap_page_valid(order, page)
         results.append(result)
+        pages.append(page)
         return result
 
     monkeypatch.setattr(search, "crosscap_page_valid", counting)
     out = solve(SearchProblem(complete_graph(6), 4, Profile.RELAXED, order=identity_order(6)))
     assert (out.status, out.nodes) == ("sat", 8_863)
     assert results and all(r == (False, None) for r in results)
+    assert len({page.edge_set for page in pages}) == len(pages)
+
+
+class _CheckedEngine(_Engine):
+    """An engine that, at every node, recomputes its page state from the
+    page edge sets and its prune decision by walking every page and every
+    clique member, and compares both with what the engine keeps."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reference_cliques = []
+        if self.use_clique:
+            for d in range(len(self.assignable) + 1):
+                clique = []
+                for ei in self.assignable[d:]:
+                    if all((self.conflict[ei] >> c) & 1 for c in clique):
+                        clique.append(ei)
+                self.reference_cliques.append(clique)
+
+    def state(self):
+        return list(self.mask), list(self.cross), list(self.free), self.slack
+
+    def reference_state(self):
+        cross, free = [], []
+        for mask in self.mask:
+            members = [j for j in range(len(self.all_edges)) if mask >> j & 1]
+            crossing = 0
+            for j in members:
+                crossing |= self.conflict[j]
+            cross.append(crossing)
+            free.append(self.n - len({v for j in members for v in self.all_edges[j]}))
+        slack = sum(free) - self.mask.count(0)
+        return list(self.mask), cross, free, slack
+
+    def reference_prune(self, depth):
+        _, _, free, _ = self.reference_state()
+        open_pages = [p for p in range(self.budget) if self.mask[p]]
+        capacity = sum(free[p] for p in open_pages)
+        empties = self.budget - len(open_pages)
+        if len(self.assignable) - depth > capacity + empties * (self.n - 1):
+            return True
+        if self.use_clique:
+            need = sum(all(self.conflict[c] & self.mask[p] for p in open_pages)
+                       for c in self.reference_cliques[depth])
+            return need > empties
+        return False
+
+    def _rec(self, depth):
+        assert self.state() == self.reference_state()
+        if depth < len(self.assignable):
+            assert self._prune(depth) == self.reference_prune(depth)
+        return super()._rec(depth)
+
+
+@pytest.mark.parametrize("case", [
+    "K7/strict/b5/identity", "K6/relaxed-cap/b4", "K6/saonly/b3", "K8/strict/b6/fixed-mains"])
+def test_incremental_page_state_matches_recomputation(case):
+    make, status, nodes = _PINNED_TRAVERSALS[case]
+    problem = make()
+    engine = _CheckedEngine(problem, problem.order or identity_order(problem.graph.n),
+                            10**9, float("inf"))
+    initial = engine.state()
+    found = engine.run()
+    assert (("sat" if found else "unsat"), engine.nodes) == (status, nodes)
+    if not found:  # an exhausted search has taken every edge off again
+        assert engine.state() == initial
 
 
 # Every committed journal row that a test can afford, searched again.  The
