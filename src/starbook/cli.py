@@ -13,7 +13,6 @@ from pathlib import Path
 
 from . import construct as cons
 from .certs import (
-    CertificateError,
     certificate_digest,
     load_certificate,
     parse_edge_list,
@@ -22,67 +21,19 @@ from .certs import (
 )
 from .construct import StrictLayoutUnavailable
 from .journal import DEFAULT_JOURNAL, JournalRecord, append_record, load_records
-from .model import identity_order
 from .render import render_svg
 from .search import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, SearchProblem, solve
 from .verify import Profile, layout_profile, verify_layout
 
 _PROFILES = {p.value: p for p in Profile}
 
-SCHEMES = ("relaxed", "strict-literal", "strict", "stars", "octahedron", "odd")
-
-
-def _resolve_r(args, even_n_scheme: bool) -> int:
-    if args.r is not None:
-        return args.r
-    if args.n is None:
-        raise ValueError("give --r or --n")
-    if even_n_scheme:
-        if args.n % 2:
-            raise ValueError(f"scheme {args.scheme!r} needs an even --n, got {args.n}")
-        return args.n // 2
-    if args.n % 2 == 0:
-        raise ValueError(f"scheme 'odd' needs an odd --n, got {args.n}")
-    return (args.n - 1) // 2
-
 
 def _cmd_construct(args) -> int:
-    scheme = args.scheme
-    family = "K"
-    meta_extra: dict = {}
-    if scheme == "stars":
-        if args.n is None:
-            raise ValueError("scheme 'stars' needs --n")
-        layout = cons.star_pages(args.n)
-    elif scheme == "relaxed":
-        r = _resolve_r(args, even_n_scheme=True)
-        layout = cons.relaxed_complete(r)
-        meta_extra["r"] = r
-    elif scheme == "odd":
-        r = _resolve_r(args, even_n_scheme=False)
-        layout = cons.odd_extension(cons.relaxed_complete(r))
-        meta_extra["r"] = r
-    elif scheme == "strict-literal":
-        r = _resolve_r(args, even_n_scheme=True)
-        layout = cons.strict_literal(r)
-        meta_extra["r"] = r
-    elif scheme == "strict":
-        r = _resolve_r(args, even_n_scheme=True)
-        layout = cons.strict_complete(r)
-        meta_extra["r"] = r
-    elif scheme == "octahedron":
-        r = _resolve_r(args, even_n_scheme=True)
-        layout = cons.octahedron_pages(r)
-        family = "O"
-        meta_extra["r"] = r
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    meta = {"family": family, "scheme": scheme, "n": layout.graph.n, **meta_extra}
+    layout, meta = cons.construct(args.scheme, n=args.n, r=args.r)
     text = serialize_layout(layout, meta)
     if args.out:
         Path(args.out).write_text(text)
-        print(f"wrote {args.out}: {scheme} layout of n={layout.graph.n}, "
+        print(f"wrote {args.out}: {args.scheme} layout of n={layout.graph.n}, "
               f"{len(layout.pages)} pages, {layout.graph.m} edges")
     else:
         sys.stdout.write(text)
@@ -117,24 +68,13 @@ def _search_graph(args):
             raise ValueError(f"--graph cannot be combined with {', '.join(given)}")
         g = parse_edge_list(Path(args.graph).read_text())
         return g, f"file:{Path(args.graph).name}", {"n": g.n, "m": g.m}
-    n, family = args.n, args.family or "K"
-    if args.r is not None and family != "O":
-        raise ValueError(f"--r applies to family O, not {family}")
-    if args.k is not None and family != "Cpow":
-        raise ValueError(f"--k applies to family Cpow, not {family}")
-    if family == "O":  # --r alone implies n = 2r, and --n alone r = n // 2
-        r = args.r
-        if r is None and n is not None:
-            r = n // 2
-        if n is None and r is not None:
-            n = 2 * r
-        params = {"r": r, "n": n}
-    elif family == "Cpow":
-        params = {"n": n, "k": args.k}
-    elif family == "K-e":
-        params = {"n": n, "e": [1, 2]}
-    else:
-        params = {"n": n}
+    family = args.family or "K"
+    flags = {f: getattr(args, f) for f in ("n", "r", "k") if getattr(args, f) is not None}
+    for f in flags:
+        if f != "n" and f not in cons.FAMILIES[family]:
+            takers = [fam for fam, names in cons.FAMILIES.items() if f in names]
+            raise ValueError(f"--{f} applies to family {', '.join(takers)}, not {family}")
+    params = cons.family_params({"family": family, **flags})
     return cons.family_graph(params["n"], {"family": family, **params}), family, params
 
 
@@ -142,19 +82,15 @@ def _cmd_search(args) -> int:
     graph, family, params = _search_graph(args)
     profile = _PROFILES[args.profile]
     if args.optimize_order:
-        order = None
         policy = "optimize"
     elif profile is Profile.STAR_FORESTS_ONLY:
-        order = None
         policy = "none"
     else:
-        order = identity_order(graph.n)
         policy = "identity"
     problem = SearchProblem(
         graph=graph,
         budget=args.budget,
         profile=profile,
-        order=order,
         optimize_order=args.optimize_order,
         node_limit=args.node_limit,
         time_limit=args.time_limit,
@@ -216,27 +152,23 @@ def _cmd_table(args) -> int:
     cols = [p.value for p in Profile]
     print("n   sa_lower bt_lower st_lower " + " ".join(f"{c:>12}" for c in cols))
     for n in ns:
-        g = cons.complete_graph(n)
-        b = cons.bounds(g, "K")
+        b = cons.bounds(cons.complete_graph(n))
         cells = []
         for prof in cols:
-            sats = [r.budget for r in records
-                    if r.family == "K" and r.params.get("n") == n
-                    and r.profile == prof and r.outcome == "sat"]
-            unsats = [r.budget for r in records
-                      if r.family == "K" and r.params.get("n") == n
-                      and r.profile == prof and r.outcome == "unsat"]
-            upper = min(sats) if sats else None
-            lower = max(unsats) + 1 if unsats else None
-            if upper is not None and lower is not None and upper == lower:
+            runs = [r for r in records
+                    if r.family == "K" and r.params.get("n") == n and r.profile == prof]
+            # Every page is a star forest, and every strict page is also noncrossing.
+            floors = [b.sa_lower] + [r.budget + 1 for r in runs if r.outcome == "unsat"]
+            if prof == Profile.STRICT.value:
+                floors.append(b.strict_lower)
+            lower = max(floors)
+            upper = min((r.budget for r in runs if r.outcome == "sat"), default=None)
+            if upper == lower:
                 cells.append(f"k*={upper}")
-            elif upper is not None and (lower is None or lower <= upper):
-                lo = lower if lower is not None else "?"
-                cells.append(f"[{lo},{upper}]")
-            elif lower is not None:
-                cells.append(f">={lower}")
+            elif upper is not None and lower < upper:
+                cells.append(f"[{lower},{upper}]")
             else:
-                cells.append("?")
+                cells.append(f">={lower}")
         bt = b.bt_lower if b.bt_lower is not None else "-"
         print(f"{n:<3} {b.sa_lower!s:>8} {bt!s:>8} {b.strict_lower!s:>8} "
               + " ".join(f"{c:>12}" for c in cells))
@@ -265,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a layout from a named scheme")
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--scheme", choices=SCHEMES, required=True)
+    p.add_argument("--scheme", choices=cons.SCHEMES, required=True)
     p.add_argument("--out", help="certificate path (stdout if omitted)")
     p.add_argument("--svg", help="also render to this SVG path")
     p.add_argument("--force", action="store_true",
@@ -321,9 +253,6 @@ def main(argv=None) -> int:
     except StrictLayoutUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if exc.reason is None else 3
-    except CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,8 @@
 """Graph families, explicit page constructions, and closed-form bounds.
 
 family_graph is the one map from a family name and its parameters to
-a graph, for certificates and the search command alike.
+a graph, for certificates and the search command alike, and construct
+the one map from a scheme name and its size to a layout.
 The relaxed construction for K_{2r} uses r two-star disk pages plus one
 cross-cap page holding the r antipodal edges.  The strict construction
 transcribed literally from its source text is kept as its own operation
@@ -31,7 +32,8 @@ from .verify import Profile, verify_layout
 
 STRICT_R_MAX = 6  # largest r that strict_complete accepts; the searches beyond it cannot finish
 
-FAMILIES = ("K", "O", "Cpow", "K-e")  # the graph families family_graph builds
+# The graph families family_graph builds, each with its parameters besides n.
+FAMILIES = {"K": (), "O": ("r",), "Cpow": ("k",), "K-e": ("e",)}
 
 
 class StrictLayoutUnavailable(Exception):
@@ -81,38 +83,54 @@ def minus_edge(g: SimpleGraph, e: Edge) -> SimpleGraph:
     return SimpleGraph(g.n, g.edges - {e})
 
 
-def family_graph(n: int, params: dict) -> SimpleGraph:
-    """The graph that a family name and its parameters describe.
+def family_params(params: dict) -> dict:
+    """n and the parameters FAMILIES names for the family, defaults filled in.
 
     `params` is a certificate's meta map, or a journal record's params
-    with its family added; a missing family means K_n.  O takes r
-    (default n // 2) with 2r = n, Cpow takes k, and K-e takes the
-    removed edge e (default [1, 2]).  n and every parameter must be
-    JSON integers; anything else raises ValueError.
+    with its family added; a missing family means K_n, and other keys
+    are ignored.  O takes r, n or both, with 2r = n; Cpow takes k, and
+    K-e takes the removed edge e (default [1, 2]).  n and every
+    parameter must be JSON integers; anything else raises ValueError.
     """
     family = params.get("family")
+    if family is None:
+        family = "K"
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ValueError(f"unknown graph family {family!r}")
+    out = {k: params[k] for k in ("n", *FAMILIES[family]) if k in params}
 
-    def integer(key: str, value) -> int:
-        if type(value) is not int:
-            raise ValueError(f"graph family {family or 'K'} needs an integer {key}, got {value!r}")
-        return value
+    def integer(key: str) -> int:
+        if type(out.get(key)) is not int:
+            raise ValueError(f"graph family {family} needs an integer {key}, got {out.get(key)!r}")
+        return out[key]
 
-    integer("n", n)
-    if family is None or family == "K":
-        return complete_graph(n)
-    if family == "O":
-        r = integer("r", params.get("r", n // 2))
-        if 2 * r != n:
-            raise ValueError(f"octahedron r={r} does not match n={n}")
-        return octahedron(r)
+    if family == "O":  # r alone implies n = 2r, and n alone r = n // 2
+        r = integer("r") if "r" in out else integer("n") // 2
+        out = {"r": r, "n": out.get("n", 2 * r)}
+        if 2 * r != integer("n"):
+            raise ValueError(f"octahedron r={r} does not match n={out['n']}")
+    integer("n")
     if family == "Cpow":
-        return cycle_power(n, integer("k", params.get("k")))
+        integer("k")
     if family == "K-e":
-        e = params.get("e", [1, 2])
+        e = out.setdefault("e", [1, 2])
         if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(type(x) is int for x in e)):
             raise ValueError(f"graph family K-e needs e as two integers, got {e!r}")
-        return minus_edge(complete_graph(n), edge(*e))
-    raise ValueError(f"unknown graph family {family!r}")
+    return out
+
+
+def family_graph(n: int, params: dict) -> SimpleGraph:
+    """The graph on n vertices that a family name and its parameters
+    describe; family_params reads and checks them."""
+    p = family_params({**params, "n": n})
+    family = params.get("family")
+    if family == "O":
+        return octahedron(p["r"])
+    if family == "Cpow":
+        return cycle_power(n, p["k"])
+    if family == "K-e":
+        return minus_edge(complete_graph(n), edge(*p["e"]))
+    return complete_graph(n)
 
 
 def _star(center: int, first_leaf: int, count: int, n: int) -> list[Edge]:
@@ -156,21 +174,20 @@ def relaxed_complete(r: int) -> BookLayout:
     return BookLayout(complete_graph(n), identity_order(n), tuple(pages))
 
 
-def odd_extension(layout: BookLayout, require_valid: bool = True) -> BookLayout:
+def odd_extension(layout: BookLayout) -> BookLayout:
     """Extend a layout of K_{2r} to K_{2r+1} with one new spanning-star page.
 
     The new vertex goes to the end of the circular order, so no existing
     chord changes its crossing relations; the new disk page holds all
     edges at the new vertex and is inserted just before the cross-cap
-    page (if any) to keep serializations canonical.
+    page (if any) to keep serializations canonical.  The input must be a
+    relaxed layout that verifies.
     """
     n = layout.graph.n
     if n < 2 or n % 2 != 0 or layout.graph.edges != complete_graph(n).edges:
         raise ValueError("odd_extension requires a layout of a complete graph on an even vertex count")
-    if require_valid:
-        report = verify_layout(layout, Profile.RELAXED)
-        if not report.passed:
-            raise ValueError("odd_extension requires a verified layout; input fails verification")
+    if not verify_layout(layout, Profile.RELAXED).passed:
+        raise ValueError("odd_extension requires a verified layout; input fails verification")
     new = n + 1
     new_page = disk_page([(j, new) for j in range(1, n + 1)])
     pages = list(layout.pages)
@@ -284,9 +301,52 @@ def octahedron_pages(r: int) -> BookLayout:
     return BookLayout(octahedron(r), identity_order(2 * r), relaxed.pages[:r])
 
 
+# The schemes construct builds, each with its builder: `stars` builds
+# from n, every other scheme from r.
+SCHEMES = {
+    "relaxed": relaxed_complete,
+    "strict-literal": strict_literal,
+    "strict": lambda r: strict_complete(r),  # looked up at each call, so it can be replaced
+    "stars": star_pages,
+    "octahedron": octahedron_pages,
+    "odd": lambda r: odd_extension(relaxed_complete(r)),
+}
+
+
+def construct(scheme: str, n: int | None = None, r: int | None = None) -> tuple[BookLayout, dict]:
+    """The layout a named scheme builds, and its certificate meta.
+
+    `stars` takes n alone and builds the n-1 star pages of K_n.  Every
+    other scheme builds a graph on n = 2r vertices (n = 2r+1 for `odd`)
+    from r, and takes r, n or both when they agree: `octahedron` builds
+    O_r and the rest K_n.  A missing, disagreeing or unknown value
+    raises ValueError, and `strict` raises StrictLayoutUnavailable when
+    no witness can be produced.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "stars":
+        if n is None or r is not None:
+            raise ValueError("scheme 'stars' takes n alone")
+        return SCHEMES[scheme](n), {"family": "K", "scheme": scheme, "n": n}
+    odd = scheme == "odd"
+    if r is None:
+        if n is None:
+            raise ValueError(f"scheme {scheme!r} needs r or n")
+        if n % 2 != odd:
+            raise ValueError(f"scheme {scheme!r} needs an {'odd' if odd else 'even'} n, got {n}")
+        r = n // 2
+    if n is not None and n != 2 * r + odd:
+        raise ValueError(f"scheme {scheme!r} builds n = 2r{' + 1' if odd else ''}, "
+                         f"so n={n} disagrees with r={r}")
+    layout = SCHEMES[scheme](r)
+    family = "O" if scheme == "octahedron" else "K"
+    return layout, {"family": family, "scheme": scheme, "n": layout.graph.n, "r": r}
+
+
 @dataclass(frozen=True)
 class BoundsSummary:
-    """Closed-form lower bounds for a graph (complete-family extras optional)."""
+    """Closed-form lower bounds for a graph (complete-graph extras optional)."""
 
     n: int
     m: int
@@ -296,11 +356,12 @@ class BoundsSummary:
     strict_lower: int | None
 
 
-def bounds(g: SimpleGraph, family: str | None = None) -> BoundsSummary:
+def bounds(g: SimpleGraph) -> BoundsSummary:
     """Edge-count lower bounds: book thickness for any graph with n >= 4,
-    and for complete graphs also star arboricity, arboricity and the
-    strict page count n - 1: the convex K_n cannot be split into fewer
-    noncrossing star forests (Pach, Saghafian and Schnider, GD 2023)."""
+    and for complete graphs (m = n(n-1)/2) also star arboricity,
+    arboricity and the strict page count n - 1: the convex K_n cannot be
+    split into fewer noncrossing star forests (Pach, Saghafian and
+    Schnider, GD 2023)."""
     n, m = g.n, g.m
     bt_lower = None
     if n >= 4:
@@ -308,7 +369,7 @@ def bounds(g: SimpleGraph, family: str | None = None) -> BoundsSummary:
     sa_lower = None
     arboricity = None
     strict_lower = None
-    if family == "K":
+    if m == n * (n - 1) // 2:
         sa_lower = n - 1 if n <= 3 else 1 + math.ceil(n / 2)
         arboricity = 0 if n <= 1 else math.ceil(n / 2)
         strict_lower = n - 1

@@ -385,7 +385,6 @@ class ExactValueResult:
     k_star: int | None
     witness: BookLayout | None
     unsat_below: SearchOutcome | None
-    last_outcome: SearchOutcome | None
 
 
 def exact_value(
@@ -417,8 +416,8 @@ def exact_value(
             time_limit=time_limit,
         ))
         if outcome.status == "aborted":
-            return ExactValueResult("aborted", None, None, below, outcome)
+            return ExactValueResult("aborted", None, None, below)
         if outcome.status == "sat":
-            return ExactValueResult("resolved", k, outcome.layout, below, outcome)
+            return ExactValueResult("resolved", k, outcome.layout, below)
         below = outcome
-    return ExactValueResult("all_unsat", None, None, below, below)
+    return ExactValueResult("all_unsat", None, None, below)

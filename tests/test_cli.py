@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -119,9 +120,20 @@ def test_search_graph_file_input(tmp_path):
     assert load_records(journal)[0].family == "file:g.txt"
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["construct", "--scheme", "relaxed"]) == 2          # missing size
     assert main(["construct", "--n", "7", "--scheme", "relaxed"]) == 2  # odd n
+    # --n and --r must agree (n = 2r, or 2r+1 for odd), and stars takes --n alone.
+    for argv in (["--n", "10", "--r", "3", "--scheme", "relaxed"],
+                 ["--n", "7", "--r", "5", "--scheme", "odd"],
+                 ["--n", "5", "--r", "9", "--scheme", "stars"]):
+        capsys.readouterr()
+        assert main(["construct", *argv]) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+    assert main(["construct", "--n", "6", "--scheme", "relaxed"]) == 0
+    alone = capsys.readouterr().out
+    assert main(["construct", "--n", "6", "--r", "3", "--scheme", "relaxed"]) == 0
+    assert capsys.readouterr().out == alone
     assert main(["search", "--family", "K", "--budget", "3"]) == 2  # missing n
     assert main(["bogus"]) == 2
     assert main(["search", "--family", "K", "--n", "4"]) == 2       # missing budget
@@ -185,6 +197,13 @@ def test_render_command(tmp_path):
 
 
 def test_table_command(tmp_path, capsys):
+    # On the committed journal the strict cell of K_10 takes its lower end
+    # from st_lower (n - 1, GD 2023), since the journal proves only >= 8.
+    committed = Path(__file__).parent.parent / "results" / "journal.jsonl"
+    assert main(["table", "--n", "9..10", "--journal", str(committed)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert rows[0].split()[4] == ">=8"
+    assert rows[1].split()[3:5] == ["9", "k*=9"]
     journal = tmp_path / "j.jsonl"
     main(["search", "--family", "K", "--n", "6", "--budget", "4",
           "--profile", "saonly", "--journal", str(journal)])

@@ -140,16 +140,6 @@ def test_odd_extension_rejects_invalid_input():
         odd_extension(star_pages(5))  # odd vertex count
 
 
-def test_odd_extension_preserves_violations():
-    # Bypassing the validity gate, the extension covers the new vertex's
-    # edges and leaves the input's defect set untouched.
-    base = strict_literal(3)
-    before = sorted((v.kind, v.edge) for v in verify_layout(base, Profile.STRICT).violations)
-    ext = odd_extension(base, require_valid=False)
-    after = sorted((v.kind, v.edge) for v in verify_layout(ext, Profile.STRICT).violations)
-    assert before == after
-
-
 # --- literal strict construction ----------------------------------------------
 
 def test_strict_literal_r3_pages():
@@ -245,17 +235,16 @@ def test_octahedron_pages_plus_matching_tile_complete_graph():
 # --- bounds --------------------------------------------------------------------
 
 def test_bounds_examples():
-    b = bounds(complete_graph(8), "K")
+    b = bounds(complete_graph(8))
     assert (b.sa_lower, b.bt_lower, b.arboricity, b.strict_lower) == (5, 4, 4, 7)
-    assert bounds(complete_graph(4), "K").strict_lower == 3  # GD 2023: n - 1
-    assert bounds(complete_graph(10), "K").strict_lower == 9
-    assert bounds(complete_graph(10)).strict_lower is None
+    assert bounds(complete_graph(4)).strict_lower == 3  # GD 2023: n - 1
+    assert bounds(complete_graph(10)).strict_lower == 9
     assert bounds(octahedron(4)).strict_lower is None
     assert bounds(octahedron(4)).bt_lower == 4
-    assert bounds(complete_graph(5), "K").sa_lower == 4  # = n - 1
-    assert bounds(complete_graph(3), "K").sa_lower == 2
-    assert bounds(complete_graph(3), "K").bt_lower is None
-    assert bounds(complete_graph(12)).sa_lower is None
+    assert bounds(complete_graph(5)).sa_lower == 4  # = n - 1
+    assert bounds(complete_graph(3)).sa_lower == 2
+    assert bounds(complete_graph(3)).bt_lower is None
+    assert bounds(complete_graph(12)).sa_lower == 7  # 1 + n/2
 
 
 @pytest.mark.parametrize("r", range(4, 65))

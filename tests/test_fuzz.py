@@ -1,0 +1,95 @@
+"""Malformed input may only ever raise ValueError (CertificateError is one).
+
+Hypothesis mutates a valid certificate and a valid journal line by
+replacing or inserting JSON values anywhere below chosen top-level
+keys, then drives the result through the same calls the CLI makes.
+Any other exception escapes and fails the test; the CLI turns
+ValueError into exit 2.
+"""
+
+import json
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from starbook import Profile, odd_extension, relaxed_complete, verify_layout
+from starbook.certs import parse_certificate, serialize_layout
+from starbook.cli import main
+from starbook.journal import JournalRecord, load_records
+from starbook.render import render_svg
+from starbook.verify import layout_profile
+
+_KEYS = st.sampled_from(["family", "scheme", "n", "r", "k", "e", "kind", "edges", "params",
+                         "budget", "outcome", "profile", "x"])
+
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.sampled_from([1025, 10**9, -10**9])
+    | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["K", "O", "Cpow", "K-e", "disk", "crosscap", "sat", "unsat", "strict"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+
+_CERT = json.loads(serialize_layout(odd_extension(relaxed_complete(3)),
+                                    {"family": "K", "scheme": "odd", "n": 7, "r": 3}))
+
+_RECORD = asdict(JournalRecord(
+    timestamp="2026-01-01T00:00:00+00:00", family="K", params={"n": 6},
+    order_policy="identity", profile="strict", budget=5, outcome="sat", k_star=5,
+    nodes=16, wall_time=0.01, certificate_digest="0" * 64,
+))
+
+
+def _mutate(data, doc: dict, top_keys) -> None:
+    """Replace or insert one JSON value somewhere below one of `top_keys`."""
+    parent, slot = doc, data.draw(st.sampled_from(top_keys))
+    while isinstance(parent[slot], (list, dict)) and parent[slot] and data.draw(st.booleans()):
+        parent = parent[slot]
+        slot = data.draw(st.integers(0, len(parent) - 1) if isinstance(parent, list)
+                         else st.sampled_from(sorted(parent)))
+    value = data.draw(_VALUES)
+    if isinstance(parent, list) and data.draw(st.booleans()):
+        parent.insert(slot, value)
+    elif isinstance(parent, dict) and data.draw(st.booleans()):
+        parent[data.draw(_KEYS)] = value
+    else:
+        parent[slot] = value
+
+
+def _input_errors_only(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError:
+        return None
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_mutated_certificates_raise_only_input_errors(data):
+    doc = json.loads(json.dumps(_CERT))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, doc, ["n", "order", "pages", "meta"])
+    parsed = _input_errors_only(parse_certificate, json.dumps(doc))
+    if parsed is None:
+        return
+    layout, _meta = parsed
+    for profile in (layout_profile(layout), *Profile):
+        verify_layout(layout, profile)
+    _input_errors_only(render_svg, layout)
+    render_svg(layout, force=True)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_journal_lines_raise_only_input_errors(data):
+    doc = json.loads(json.dumps(_RECORD))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, doc, sorted(doc))
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = Path(tmp) / "j.jsonl"
+        journal.write_text(json.dumps(_RECORD) + "\n" + json.dumps(doc) + "\n")
+        _input_errors_only(load_records, journal)
+        assert main(["table", "--n", "5..6", "--journal", str(journal)]) in (0, 2)
