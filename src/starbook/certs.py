@@ -23,7 +23,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .construct import family_graph
+from .construct import MAX_VERTICES, family_graph
 from .model import (
     BookLayout,
     CircularOrder,
@@ -34,8 +34,6 @@ from .model import (
 )
 
 FORMAT_TAG = "starbook-cert/1"
-
-MAX_VERTICES = 1024
 
 
 class CertificateError(ValueError):

@@ -140,29 +140,34 @@ def _parse_range(spec: str) -> list[int]:
     if ".." in spec:
         a, b = spec.split("..", 1)
         lo, hi = int(a), int(b)
-        if lo > hi:
-            raise ValueError(f"empty range {spec!r}")
-        return list(range(lo, hi + 1))
-    return [int(spec)]
+    else:
+        lo = hi = int(spec)
+    if lo > hi:
+        raise ValueError(f"empty range {spec!r}")
+    cons.check_size(hi)
+    return list(range(lo, hi + 1))
 
 
 def _cmd_table(args) -> int:
     records = load_records(args.journal)
     ns = _parse_range(args.n)
-    cols = [p.value for p in Profile]
-    print("n   sa_lower bt_lower st_lower " + " ".join(f"{c:>12}" for c in cols))
+    print("n   sa_lower bt_lower st_lower " + " ".join(f"{p.value:>12}" for p in Profile))
     for n in ns:
         b = cons.bounds(cons.complete_graph(n))
+        built = cons.complete_layouts(n)
         cells = []
-        for prof in cols:
+        for prof in Profile:
             runs = [r for r in records
-                    if r.family == "K" and r.params.get("n") == n and r.profile == prof]
+                    if r.family == "K" and r.params.get("n") == n and r.profile == prof.value]
             # Every page is a star forest, and every strict page is also noncrossing.
             floors = [b.sa_lower] + [r.budget + 1 for r in runs if r.outcome == "unsat"]
-            if prof == Profile.STRICT.value:
+            if prof is Profile.STRICT:
                 floors.append(b.strict_lower)
             lower = max(floors)
-            upper = min((r.budget for r in runs if r.outcome == "sat"), default=None)
+            uppers = [r.budget for r in runs if r.outcome == "sat"]
+            if prof in built:
+                uppers.append(len(built[prof].pages))
+            upper = min(uppers, default=None)
             if upper == lower:
                 cells.append(f"k*={upper}")
             elif upper is not None and lower < upper:
@@ -228,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--journal", default=DEFAULT_JOURNAL)
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("table", help="bounds and journal-established values of K_n")
+    p = sub.add_parser("table", help="bounds and established values of K_n, from the "
+                                     "constructions and the journal")
     p.add_argument("--n", required=True, help="single value or range like 4..12")
     p.add_argument("--journal", default=DEFAULT_JOURNAL)
     p.set_defaults(func=_cmd_table)

@@ -30,10 +30,19 @@ from .model import (
 )
 from .verify import Profile, verify_layout
 
+# Most vertices of any graph built from a size a user names: K_n has
+# n(n-1)/2 edges, and every layout holds each of them.
+MAX_VERTICES = 1024
 STRICT_R_MAX = 6  # largest r that strict_complete accepts; the searches beyond it cannot finish
 
 # The graph families family_graph builds, each with its parameters besides n.
 FAMILIES = {"K": (), "O": ("r",), "Cpow": ("k",), "K-e": ("e",)}
+
+
+def check_size(n: int) -> None:
+    """Raise ValueError when n is above MAX_VERTICES."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
 class StrictLayoutUnavailable(Exception):
@@ -90,7 +99,8 @@ def family_params(params: dict) -> dict:
     with its family added; a missing family means K_n, and other keys
     are ignored.  O takes r, n or both, with 2r = n; Cpow takes k, and
     K-e takes the removed edge e (default [1, 2]).  n and every
-    parameter must be JSON integers; anything else raises ValueError.
+    parameter must be JSON integers, and n at most MAX_VERTICES;
+    anything else raises ValueError.
     """
     family = params.get("family")
     if family is None:
@@ -109,7 +119,7 @@ def family_params(params: dict) -> dict:
         out = {"r": r, "n": out.get("n", 2 * r)}
         if 2 * r != integer("n"):
             raise ValueError(f"octahedron r={r} does not match n={out['n']}")
-    integer("n")
+    check_size(integer("n"))
     if family == "Cpow":
         integer("k")
     if family == "K-e":
@@ -301,6 +311,27 @@ def octahedron_pages(r: int) -> BookLayout:
     return BookLayout(octahedron(r), identity_order(2 * r), relaxed.pages[:r])
 
 
+def complete_layouts(n: int) -> dict[Profile, BookLayout]:
+    """The constructions' layouts of K_n by profile, each verified under it.
+
+    Strict: the n-1 star pages (n >= 2).  Relaxed, and saonly, which
+    ignores the spine: relaxed_complete for even n and its odd_extension
+    for odd n, with ceil(n/2)+1 pages (n >= 4).  A profile that no
+    construction covers for this n is left out.
+    """
+    check_size(n)
+    built = {}
+    if n >= 2:
+        built[Profile.STRICT] = star_pages(n)
+    if n >= 4:
+        relaxed = SCHEMES["odd" if n % 2 else "relaxed"](n // 2)
+        built[Profile.RELAXED] = built[Profile.STAR_FORESTS_ONLY] = relaxed
+    for profile, layout in built.items():
+        if not verify_layout(layout, profile).passed:
+            raise RuntimeError(f"the {profile.value} construction of K_{n} fails verification")
+    return built
+
+
 # The schemes construct builds, each with its builder: `stars` builds
 # from n, every other scheme from r.
 SCHEMES = {
@@ -319,15 +350,16 @@ def construct(scheme: str, n: int | None = None, r: int | None = None) -> tuple[
     `stars` takes n alone and builds the n-1 star pages of K_n.  Every
     other scheme builds a graph on n = 2r vertices (n = 2r+1 for `odd`)
     from r, and takes r, n or both when they agree: `octahedron` builds
-    O_r and the rest K_n.  A missing, disagreeing or unknown value
-    raises ValueError, and `strict` raises StrictLayoutUnavailable when
-    no witness can be produced.
+    O_r and the rest K_n.  A missing, disagreeing or unknown value, or
+    more than MAX_VERTICES vertices, raises ValueError, and `strict`
+    raises StrictLayoutUnavailable when no witness can be produced.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "stars":
         if n is None or r is not None:
             raise ValueError("scheme 'stars' takes n alone")
+        check_size(n)
         return SCHEMES[scheme](n), {"family": "K", "scheme": scheme, "n": n}
     odd = scheme == "odd"
     if r is None:
@@ -339,6 +371,7 @@ def construct(scheme: str, n: int | None = None, r: int | None = None) -> tuple[
     if n is not None and n != 2 * r + odd:
         raise ValueError(f"scheme {scheme!r} builds n = 2r{' + 1' if odd else ''}, "
                          f"so n={n} disagrees with r={r}")
+    check_size(2 * r + odd)
     layout = SCHEMES[scheme](r)
     family = "O" if scheme == "octahedron" else "K"
     return layout, {"family": family, "scheme": scheme, "n": layout.graph.n, "r": r}

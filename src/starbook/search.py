@@ -12,16 +12,21 @@ An edge is its index in the sorted edge list.  Each chord has a bitset of
 the chords crossing it and, when there is a cross-cap page, one of the
 chords parallel to it (no shared vertex, no crossing).  Page p is kept
 as `mask[p]`, the bitset of its edges; `cross[p]`, the chords that cross
-some edge of it; and `free[p]`, the count of vertices that none of its
-edges touches.  One running integer, `slack = sum(free) - empty pages`,
-is the most edges the pages can still take.  Putting an edge on a page
-updates all of these in a few bitset operations, and backtracking puts
-back the saved page values, so the counting bound needs no walk over
-the pages.  The cross-cap page applies `verify`'s pairwise rule to its
-flagged chords (those crossing some chord of the page), read off
-`cross`, and `verify.crosscap_page_valid` must confirm every rejection;
-the engine remembers the pages it has confirmed, so each is confirmed
-once.
+some edge of it; `blocked[p]`, the edges it cannot take; and `near[p]`,
+the edges at some vertex it touches.  A page blocks an edge whose ends
+it both touches and an edge at a leaf (a vertex whose one page edge goes
+to a centre with two or more); a disk page also blocks the chords in
+`cross[p]`.  One running integer, `slack`, the vertices untouched by
+each page summed over the pages minus the empty pages, is the most
+edges the pages can still take.  Putting an edge on a page updates all
+of these in a few bitset operations; every page set only grows, so each
+search frame saves the page's values and `slack` and puts them back.
+Whether page p can take edge i is then the one bit test `blocked[p]`,
+except on the cross-cap page when chord i crosses it: there the engine
+applies `verify`'s pairwise rule to its flagged chords (those crossing
+some chord of the page), read off `cross`, and
+`verify.crosscap_page_valid` must confirm every rejection; the engine
+remembers the pages it has confirmed, so each is confirmed once.
 
 Pruning: a counting bound from the fact that distinct stars of a star
 forest can never merge (a page with c star components holds at most
@@ -55,6 +60,9 @@ from .verify import Profile, crosscap_page_valid, verify_layout
 
 DEFAULT_NODE_LIMIT = 10**9
 DEFAULT_TIME_LIMIT = 600.0
+# The engine's build grows about as n^4 and its crossing table as m^2; an
+# exact search is out of reach long before this many vertices.
+MAX_SEARCH_VERTICES = 64
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,9 @@ class SearchProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "profile", Profile(self.profile))
+        if self.graph.n > MAX_SEARCH_VERTICES:
+            raise ValueError(f"vertex count {self.graph.n} exceeds the search limit "
+                             f"of {MAX_SEARCH_VERTICES}")
         if self.budget < 1:
             raise ValueError("page budget must be at least 1")
         relaxed = self.profile is Profile.RELAXED
@@ -95,6 +106,8 @@ class SearchProblem:
             raise ValueError("fixed pages require a fixed order")
         seen: set[Edge] = set()
         for page in self.fixed_pages:
+            if not page:
+                raise ValueError("a fixed page must hold at least one edge")
             for e in page:
                 if e not in self.graph.edges:
                     raise ValueError(f"fixed edge {e} is not a graph edge")
@@ -129,6 +142,7 @@ class _Engine:
         self.budget = problem.budget
         self.geometric = problem.profile is not Profile.STAR_FORESTS_ONLY
         self.cap_idx = problem.budget - 1 if problem.crosscap_allowed else -1
+        self.disks = problem.budget - problem.crosscap_allowed  # pages 0 .. disks-1
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
@@ -137,13 +151,11 @@ class _Engine:
         fixed = {e for page in problem.fixed_pages for e in page}
         self.all_edges = sorted(problem.graph.edges)
         m = len(self.all_edges)
-        # Edge i is bit i of every edge set; ends[i] holds the edges at
-        # either end of edge i, each end's set including i itself.
-        inc = [0] * (self.n + 1)
+        # Edge i is bit i of every edge set; inc[v] holds the edges at vertex v.
+        self.inc = inc = [0] * (self.n + 1)
         for i, (u, v) in enumerate(self.all_edges):
             inc[u] |= 1 << i
             inc[v] |= 1 << i
-        self.ends = [(inc[u], inc[v]) for u, v in self.all_edges]
         assignable = [i for i, e in enumerate(self.all_edges) if e not in fixed]
 
         # conflict[i]: the chords crossing chord i.  parallel[i], built only
@@ -179,13 +191,14 @@ class _Engine:
         b = self.budget
         self.mask = [0] * b  # the edges on each page
         self.cross = [0] * b  # the chords crossing some edge of each page
-        self.free = [self.n] * b  # vertices that no edge of the page touches
-        self.slack = b * (self.n - 1)  # sum(free) - empty pages
+        self.blocked = [0] * b  # the edges each page cannot take (see _apply)
+        self.near = [0] * b  # the edges at some vertex that the page touches
+        self.slack = b * (self.n - 1)  # untouched vertices over all pages - empty pages
         self.rejected: set[int] = set()  # cap pages the verifier has rejected
         for p, page in enumerate(problem.fixed_pages):
             for e in page:
                 i = self.all_edges.index(e)
-                if not self._feasible(p, i):
+                if p not in self._pages(i):
                     raise ValueError(f"fixed page {p} is not a valid star-forest disk page")
                 self._apply(p, i)
 
@@ -194,25 +207,26 @@ class _Engine:
     def _edges(self, mask: int) -> list[Edge]:
         return [e for j, e in enumerate(self.all_edges) if mask >> j & 1]
 
-    def _feasible(self, p: int, i: int) -> bool:
-        mask = self.mask[p]
-        if not mask:
-            return True
-        crosses = self.cross[p] >> i & 1
-        if crosses and p != self.cap_idx:
-            return False
-        at_u, at_v = self.ends[i]
-        at_u &= mask
-        at_v &= mask
-        if at_u and at_v:
-            return False
-        at = at_u or at_v
-        if at and not at & (at - 1):
-            # The one edge at this vertex must be a whole star.
-            at_a, at_b = self.ends[at.bit_length() - 1]
-            if mask & at_a != mask & at_b:
-                return False
-        return not crosses or self._cap_feasible(i)
+    def _pages(self, i: int):
+        """The pages that can take edge i, in the order they are tried.
+
+        A page that `blocked` marks is skipped.  Of the empty disk pages
+        only the first is offered; the open disk pages come before it,
+        because no later one can have been opened.  The cross-cap page
+        comes last and, when edge i crosses it, runs `_cap_feasible`.
+        Lazy, so each test runs only once the pages before it are done.
+        """
+        bit = 1 << i
+        mask, blocked = self.mask, self.blocked
+        for p in range(self.disks):
+            if not blocked[p] & bit:
+                yield p
+                if not mask[p]:
+                    break
+        cap = self.cap_idx
+        if cap >= 0 and not blocked[cap] & bit and (
+                not self.cross[cap] & bit or self._cap_feasible(i)):
+            yield cap
 
     def _cap_feasible(self, i: int) -> bool:
         """The pairwise rule of `verify` on the cross-cap page plus chord i:
@@ -244,19 +258,35 @@ class _Engine:
         return False
 
     def _apply(self, p: int, i: int) -> None:
-        """Put edge i on page p; `_restore` takes it off again."""
-        at_u, at_v = self.ends[i]
+        """Put edge i (u, v) on page p, which `_pages` offered for it.
+
+        A page blocks an edge whose ends it both touches, and an edge at
+        a leaf: a vertex whose one page edge goes to a centre with two or
+        more.  A disk page also blocks the chords crossing its edges.
+        """
+        u, v = self.all_edges[i]
+        inc = self.inc
         mask = self.mask[p]
-        touched = (not mask & at_u) + (not mask & at_v)
-        self.slack += (not mask) - touched
-        self.free[p] -= touched
+        blocked = self.blocked[p]
+        at = mask & (inc[u] | inc[v])  # the page edges at u or v, all at one end
+        if not at:  # a new lone edge
+            ends = inc[u] | inc[v]
+            blocked |= ends & self.near[p] | 1 << i
+            self.near[p] |= ends
+            self.slack += (not mask) - 2
+        else:  # the untouched end becomes a leaf
+            touched, leaf = (u, v) if at & inc[u] else (v, u)
+            blocked |= inc[leaf]
+            if not at & (at - 1):  # a lone edge (touched, far): far becomes a leaf too
+                a, b = self.all_edges[at.bit_length() - 1]
+                blocked |= inc[b if a == touched else a]
+            self.near[p] |= inc[leaf]
+            self.slack -= 1
+        if p != self.cap_idx:
+            blocked |= self.conflict[i]
+        self.blocked[p] = blocked
         self.mask[p] = mask | 1 << i
         self.cross[p] |= self.conflict[i]
-
-    def _restore(self, p: int, mask: int, cross: int, free: int) -> None:
-        """Give page p back the values it had earlier on the current path."""
-        self.slack += free - self.free[p] - (not mask)
-        self.mask[p], self.cross[p], self.free[p] = mask, cross, free
 
     # pruning ------------------------------------------------------------
 
@@ -293,19 +323,15 @@ class _Engine:
         if self._prune(depth):
             return False
         i = self.assignable[depth]
-        mask, cross, free = self.mask, self.cross, self.free
-        opened_empty = False
-        for p in range(self.budget):
-            if not mask[p] and p != self.cap_idx:
-                if opened_empty:
-                    continue
-                opened_empty = True
-            if self._feasible(p, i):
-                was_mask, was_cross, was_free = mask[p], cross[p], free[p]
-                self._apply(p, i)
-                if self._rec(depth + 1):
-                    return True
-                self._restore(p, was_mask, was_cross, was_free)
+        mask, cross, blocked, near = self.mask, self.cross, self.blocked, self.near
+        slack = self.slack
+        for p in self._pages(i):
+            was = mask[p], cross[p], blocked[p], near[p]
+            self._apply(p, i)
+            if self._rec(depth + 1):
+                return True
+            mask[p], cross[p], blocked[p], near[p] = was
+            self.slack = slack
         return False
 
     def extract_layout(self) -> BookLayout:

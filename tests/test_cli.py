@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -199,11 +200,15 @@ def test_render_command(tmp_path):
 def test_table_command(tmp_path, capsys):
     # On the committed journal the strict cell of K_10 takes its lower end
     # from st_lower (n - 1, GD 2023), since the journal proves only >= 8.
+    # The upper ends of K_9 and K_12 strict (the n - 1 star pages) and of
+    # K_10 relaxed (relaxed_complete(5), 6 pages) come from the
+    # constructions, which the journal does not record.
     committed = Path(__file__).parent.parent / "results" / "journal.jsonl"
-    assert main(["table", "--n", "9..10", "--journal", str(committed)]) == 0
+    assert main(["table", "--n", "9..12", "--journal", str(committed)]) == 0
     rows = capsys.readouterr().out.strip().splitlines()[1:]
-    assert rows[0].split()[4] == ">=8"
-    assert rows[1].split()[3:5] == ["9", "k*=9"]
+    assert rows[0].split()[4] == "k*=8"
+    assert rows[1].split()[3:6] == ["9", "k*=9", "k*=6"]
+    assert rows[3].split()[4] == "k*=11"
     journal = tmp_path / "j.jsonl"
     main(["search", "--family", "K", "--n", "6", "--budget", "4",
           "--profile", "saonly", "--journal", str(journal)])
@@ -218,6 +223,25 @@ def test_table_command(tmp_path, capsys):
     row6 = next(line for line in lines if line.startswith("6"))
     assert row6.split()[:4] == ["6", "4", "3", "5"]
     assert "k*=4" in row6
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "100000", "--budget", "3"],
+    ["search", "--n", "65", "--budget", "3"],
+    ["construct", "--scheme", "stars", "--n", "100000"],
+    ["construct", "--scheme", "relaxed", "--r", "100000"],
+    ["table", "--n", "4..100000"],
+], ids=lambda argv: " ".join(argv[:3]) + " " + argv[-1])
+def test_named_sizes_are_bounded(argv, tmp_path, capsys):
+    """A vertex count a user names is checked before anything of its size
+    is built: n above 1024 everywhere, and above 64 for a search."""
+    if argv[0] != "construct":
+        argv = [*argv, "--journal", str(tmp_path / "j.jsonl")]
+    start = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "limit of" in err, err
 
 
 @pytest.mark.parametrize("line, message", [

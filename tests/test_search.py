@@ -2,6 +2,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starbook import (
     CircularOrder,
@@ -25,7 +27,7 @@ from starbook.journal import load_records
 from starbook.model import crosscap_page
 from starbook.search import _Engine, canonical_orders
 from starbook.verify import crosscap_page_valid
-from conftest import all_k5_subsets, star_forest_edge_sets
+from conftest import all_k5_subsets, brute_star_forest, segments_cross, star_forest_edge_sets
 
 
 def test_problem_invariants():
@@ -50,6 +52,15 @@ def test_problem_invariants():
     with pytest.raises(ValueError):
         SearchProblem(g, 1, Profile.RELAXED, crosscap_allowed=True,
                       order=identity_order(4), fixed_pages=(((1, 2),),))
+    with pytest.raises(ValueError, match="at least one edge"):
+        SearchProblem(g, 2, Profile.STRICT, fixed_pages=((), ((1, 2),)))
+    assert SearchProblem(complete_graph(64), 3, Profile.STRICT).graph.n == 64
+    with pytest.raises(ValueError, match="search limit of 64"):
+        SearchProblem(complete_graph(65), 3, Profile.STRICT)
+    # A fixed page goes through the engine's own page test.
+    with pytest.raises(ValueError, match="fixed page 0"):
+        solve(SearchProblem(g, 2, Profile.STRICT, order=identity_order(4),
+                            fixed_pages=(((1, 3), (2, 4)),)))
 
 
 def test_solve_examples_k4():
@@ -229,7 +240,8 @@ def test_engine_crosscap_rule_matches_verifier(n, shuffled):
     problem = SearchProblem(complete_graph(n), 2, Profile.RELAXED, order=order)
     engine = _Engine(problem, order, node_budget=0, deadline=0.0)
     cap = engine.cap_idx
-    empty = engine.mask[cap], engine.cross[cap], engine.free[cap]
+    empty = engine.mask[cap], engine.cross[cap], engine.blocked[cap], engine.near[cap]
+    slack = engine.slack
     seen = set()
     for chords in star_forest_edge_sets(n):
         want = crosscap_page_valid(order, crosscap_page(chords))[0]
@@ -239,9 +251,9 @@ def test_engine_crosscap_rule_matches_verifier(n, shuffled):
                 continue
             for f in rest:
                 engine._apply(cap, engine.all_edges.index(f))
-            got = engine._feasible(cap, engine.all_edges.index(e))
-            if rest:
-                engine._restore(cap, *empty)
+            got = cap in engine._pages(engine.all_edges.index(e))
+            engine.mask[cap], engine.cross[cap], engine.blocked[cap], engine.near[cap] = empty
+            engine.slack = slack
             assert got == want, (chords, e)
             seen.add(got)
     assert seen == {True, False}
@@ -269,7 +281,11 @@ def test_engine_confirms_each_crosscap_rejection(monkeypatch):
 class _CheckedEngine(_Engine):
     """An engine that, at every node, recomputes its page state from the
     page edge sets and its prune decision by walking every page and every
-    clique member, and compares both with what the engine keeps."""
+    clique member, and compares both with what the engine keeps.
+
+    A page's blocked edges are recomputed from what they mean: edge j is
+    blocked iff it is on the page, the page plus j is not a star forest,
+    or the page is a disk page and j crosses one of its edges."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -281,26 +297,39 @@ class _CheckedEngine(_Engine):
                     if all((self.conflict[ei] >> c) & 1 for c in clique):
                         clique.append(ei)
                 self.reference_cliques.append(clique)
+        self.reference_pages = {}
 
     def state(self):
-        return list(self.mask), list(self.cross), list(self.free), self.slack
+        return list(self.mask), list(self.cross), list(self.blocked), list(self.near), self.slack
+
+    def reference_page(self, p):
+        """cross, blocked, near and the untouched vertex count of page p."""
+        key = self.mask[p], p != self.cap_idx
+        if key not in self.reference_pages:
+            mask, disk = key
+            edges = self.all_edges
+            members = [edges[j] for j in range(len(edges)) if mask >> j & 1]
+            touched = {v for e in members for v in e}
+            cross = blocked = near = 0
+            for j, f in enumerate(edges):
+                crosses = self.geometric and any(segments_cross(self.order, e, f) for e in members)
+                if crosses:
+                    cross |= 1 << j
+                if set(f) & touched:
+                    near |= 1 << j
+                if f in members or not brute_star_forest(members + [f]) or disk and crosses:
+                    blocked |= 1 << j
+            self.reference_pages[key] = cross, blocked, near, self.n - len(touched)
+        return self.reference_pages[key]
 
     def reference_state(self):
-        cross, free = [], []
-        for mask in self.mask:
-            members = [j for j in range(len(self.all_edges)) if mask >> j & 1]
-            crossing = 0
-            for j in members:
-                crossing |= self.conflict[j]
-            cross.append(crossing)
-            free.append(self.n - len({v for j in members for v in self.all_edges[j]}))
+        cross, blocked, near, free = zip(*(self.reference_page(p) for p in range(self.budget)))
         slack = sum(free) - self.mask.count(0)
-        return list(self.mask), cross, free, slack
+        return list(self.mask), list(cross), list(blocked), list(near), slack
 
     def reference_prune(self, depth):
-        _, _, free, _ = self.reference_state()
         open_pages = [p for p in range(self.budget) if self.mask[p]]
-        capacity = sum(free[p] for p in open_pages)
+        capacity = sum(self.reference_page(p)[3] for p in open_pages)
         empties = self.budget - len(open_pages)
         if len(self.assignable) - depth > capacity + empties * (self.n - 1):
             return True
@@ -376,6 +405,32 @@ def test_verdict_invariant_under_relabelling(case):
             edge(perm[u - 1], perm[v - 1]) for u, v in graph.edges))
         got = solve(SearchProblem(relabelled, budget, profile, order=CircularOrder(perm)))
         assert got.status == want, (case, seed)
+
+
+@st.composite
+def _relabelled_instance(draw):
+    """A random graph on at most 7 vertices, mostly sparse, with a profile,
+    a budget and a relabelling; perm[v - 1] is the new label of v."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    profile = draw(st.sampled_from(list(Profile)))
+    budget = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(1, n + 1)))
+    return SimpleGraph(n, frozenset(edges)), profile, budget, perm
+
+
+@settings(derandomize=True, max_examples=1200, deadline=None)
+@given(_relabelled_instance())
+def test_verdict_invariant_under_random_relabelling(instance):
+    """The seeded cases above are complete-graph-like, where the leaf rule
+    rarely decides; random sparse graphs exercise it."""
+    graph, profile, budget, perm = instance
+    want = solve(SearchProblem(graph, budget, profile, order=identity_order(graph.n))).status
+    relabelled = SimpleGraph(graph.n, frozenset(
+        edge(perm[u - 1], perm[v - 1]) for u, v in graph.edges))
+    got = solve(SearchProblem(relabelled, budget, profile, order=CircularOrder(tuple(perm))))
+    assert got.status == want
 
 
 def test_canonical_orders_count():
