@@ -81,12 +81,12 @@ def parse_certificate(text: str) -> tuple[BookLayout, dict]:
     if doc.get("format") != FORMAT_TAG:
         raise CertificateError(f"unsupported format tag {doc.get('format')!r}")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:  # bool is an int subclass, so it is refused too
         raise CertificateError(f"bad vertex count {n!r}")
     if n > MAX_VERTICES:
         raise CertificateError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     order = doc.get("order")
-    if not isinstance(order, list) or not all(isinstance(v, int) for v in order):
+    if not isinstance(order, list) or not all(type(v) is int for v in order):
         raise CertificateError("order must be a list of integers")
     raw_pages = doc.get("pages")
     if not isinstance(raw_pages, list):
@@ -105,7 +105,7 @@ def parse_certificate(text: str) -> tuple[BookLayout, dict]:
         es = []
         for re_ in raw_edges:
             if (not isinstance(re_, list) or len(re_) != 2
-                    or not all(isinstance(x, int) for x in re_)):
+                    or not all(type(x) is int for x in re_)):
                 raise CertificateError(f"page {i + 1} has a malformed edge {re_!r}")
             u, v = re_
             if not 1 <= u < v:
@@ -131,7 +131,11 @@ def save_certificate(path, layout: BookLayout, meta: dict | None = None) -> None
 
 
 def parse_edge_list(text: str) -> SimpleGraph:
-    """Graph from plain text: n on the first line, then one 'u v' per line."""
+    """Graph from plain text: n on the first line, then one 'u v' per line.
+
+    Each edge is checked at its own line, so a label outside 1..n or a
+    loop names the line, and the edge set never exceeds n(n-1)/2.
+    """
     tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -156,6 +160,10 @@ def parse_edge_list(text: str) -> SimpleGraph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: bad vertex label") from None
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"line {lineno}: edge {u}-{v} outside vertex range 1..{n}")
+        if u == v:
+            raise ValueError(f"line {lineno}: loop edge at vertex {u}")
         edges.add(edge(u, v))
     try:
         return SimpleGraph(n, frozenset(edges))

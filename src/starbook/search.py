@@ -11,29 +11,27 @@ which is tried last.
 An edge is its index in the sorted edge list.  Each chord has a bitset of
 the chords crossing it and, when there is a cross-cap page, one of the
 chords parallel to it (no shared vertex, no crossing).  Page p is kept
-as `mask[p]`, the bitset of its edges; `cross[p]`, the chords that cross
-some edge of it; `blocked[p]`, the edges it cannot take; and `near[p]`,
-the edges at some vertex it touches.  A page blocks an edge whose ends
-it both touches and an edge at a leaf (a vertex whose one page edge goes
-to a centre with two or more); a disk page also blocks the chords in
-`cross[p]`.  One running integer, `slack`, the vertices untouched by
-each page summed over the pages minus the empty pages, is the most
-edges the pages can still take.  Putting an edge on a page updates all
-of these in a few bitset operations; every page set only grows, so each
-search frame saves the page's values and `slack` and puts them back.
-Whether page p can take edge i is then the one bit test `blocked[p]`,
-except on the cross-cap page when chord i crosses it: there the engine
-applies `verify`'s pairwise rule to its flagged chords (those crossing
-some chord of the page), read off `cross`, and
-`verify.crosscap_page_valid` must confirm every rejection; the engine
-remembers the pages it has confirmed, so each is confirmed once.
+as `mask[p]`, the bitset of its edges; `blocked[p]`, the edges it cannot
+take; and `near[p]`, the edges at some vertex it touches.  A page blocks
+an edge whose ends it both touches and an edge at a leaf (a vertex whose
+one page edge goes to a centre with two or more); a disk page also
+blocks the chords crossing its edges.  The cross-cap page keeps those
+chords apart instead, as `cap_cross`.  One running integer, `slack`,
+the vertices untouched by each page summed over the pages minus the
+empty pages, is the most edges the pages can still take.  Putting an
+edge on a page updates all of these in a few bitset operations; every
+page set only grows, so each search frame saves the page's values,
+`slack` and `cap_cross` and puts them back.  Whether page p can take
+edge i is then the one bit test `blocked[p]`, except on the cross-cap
+page when chord i is in `cap_cross`: there the engine applies
+`verify`'s pairwise rule to its flagged chords (those crossing some
+chord of the page), and `verify.crosscap_page_valid` must confirm every
+rejection; the engine remembers the pages it has confirmed, so each is
+confirmed once.
 
 Pruning: a counting bound from the fact that distinct stars of a star
 forest can never merge (a page with c star components holds at most
-n - c edges, so no more than `slack` edges fit), and, on disk-only
-profiles, a greedy pairwise-crossing clique among the unassigned edges,
-whose members that cross every open page each demand a fresh page of
-their own.
+n - c edges), so a node whose unassigned edges outnumber `slack` is cut.
 
 The search is sequential and canonical, so certificates are
 byte-identical across runs; the first witness found is the
@@ -177,23 +175,12 @@ class _Engine:
             assignable.sort(key=lambda i: (-(self.conflict[i] & assignable_mask).bit_count(), i))
         self.assignable = assignable
 
-        # Greedy pairwise-crossing clique per suffix, for the disk-only bound.
-        self.use_clique = self.geometric and not problem.crosscap_allowed
-        self.clique_bits: list[int] = []
-        if self.use_clique:
-            for d in range(len(assignable) + 1):
-                clique = 0
-                for ei in assignable[d:]:
-                    if not clique & ~self.conflict[ei]:  # ei crosses every member
-                        clique |= 1 << ei
-                self.clique_bits.append(clique)
-
         b = self.budget
         self.mask = [0] * b  # the edges on each page
-        self.cross = [0] * b  # the chords crossing some edge of each page
         self.blocked = [0] * b  # the edges each page cannot take (see _apply)
         self.near = [0] * b  # the edges at some vertex that the page touches
         self.slack = b * (self.n - 1)  # untouched vertices over all pages - empty pages
+        self.cap_cross = 0  # the chords crossing some edge of the cross-cap page
         self.rejected: set[int] = set()  # cap pages the verifier has rejected
         for p, page in enumerate(problem.fixed_pages):
             for e in page:
@@ -225,7 +212,7 @@ class _Engine:
                     break
         cap = self.cap_idx
         if cap >= 0 and not blocked[cap] & bit and (
-                not self.cross[cap] & bit or self._cap_feasible(i)):
+                not self.cap_cross & bit or self._cap_feasible(i)):
             yield cap
 
     def _cap_feasible(self, i: int) -> bool:
@@ -239,7 +226,7 @@ class _Engine:
         """
         cap = self.cap_idx
         mask = self.mask[cap] | 1 << i
-        flagged = (self.cross[cap] | self.conflict[i]) & mask
+        flagged = (self.cap_cross | self.conflict[i]) & mask
         parallel = self.parallel
         rest = flagged
         while rest:
@@ -262,7 +249,8 @@ class _Engine:
 
         A page blocks an edge whose ends it both touches, and an edge at
         a leaf: a vertex whose one page edge goes to a centre with two or
-        more.  A disk page also blocks the chords crossing its edges.
+        more.  A disk page also blocks the chords crossing its edges; on
+        the cross-cap page they go to `cap_cross`.
         """
         u, v = self.all_edges[i]
         inc = self.inc
@@ -282,28 +270,12 @@ class _Engine:
                 blocked |= inc[b if a == touched else a]
             self.near[p] |= inc[leaf]
             self.slack -= 1
-        if p != self.cap_idx:
+        if p == self.cap_idx:
+            self.cap_cross |= self.conflict[i]
+        else:
             blocked |= self.conflict[i]
         self.blocked[p] = blocked
         self.mask[p] = mask | 1 << i
-        self.cross[p] |= self.conflict[i]
-
-    # pruning ------------------------------------------------------------
-
-    def _prune(self, depth: int) -> bool:
-        if len(self.assignable) - depth > self.slack:
-            return True
-        if not self.use_clique:
-            return False
-        # The clique members that cross every open page need empty pages.
-        need = self.clique_bits[depth]
-        empties = 0
-        for mask, cross in zip(self.mask, self.cross):
-            if mask:
-                need &= cross
-            else:
-                empties += 1
-        return need.bit_count() > empties
 
     # search -------------------------------------------------------------
 
@@ -320,18 +292,18 @@ class _Engine:
             raise _Abort("time_limit")
         if depth == len(self.assignable):
             return True
-        if self._prune(depth):
+        if len(self.assignable) - depth > self.slack:
             return False
         i = self.assignable[depth]
-        mask, cross, blocked, near = self.mask, self.cross, self.blocked, self.near
-        slack = self.slack
+        mask, blocked, near = self.mask, self.blocked, self.near
+        slack, cap_cross = self.slack, self.cap_cross
         for p in self._pages(i):
-            was = mask[p], cross[p], blocked[p], near[p]
+            was = mask[p], blocked[p], near[p]
             self._apply(p, i)
             if self._rec(depth + 1):
                 return True
-            mask[p], cross[p], blocked[p], near[p] = was
-            self.slack = slack
+            mask[p], blocked[p], near[p] = was
+            self.slack, self.cap_cross = slack, cap_cross
         return False
 
     def extract_layout(self) -> BookLayout:

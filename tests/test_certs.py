@@ -79,6 +79,20 @@ def test_parse_rejects_malformed():
         parse_certificate(json.dumps({**doc, "n": 10**9}))  # K_n is never built
     with pytest.raises(CertificateError):
         parse_certificate(json.dumps({**doc, "order": [1, "x"]}))
+    # JSON true is not the vertex 1: one layout must have one byte form.
+    with pytest.raises(CertificateError, match="bad vertex count"):
+        parse_certificate(json.dumps({**doc, "n": True}))
+    with pytest.raises(CertificateError, match="order must be a list of integers"):
+        parse_certificate(json.dumps({**doc, "order": [True, 2, 3, 4]}))
+    bool_edge = {**doc, "pages": [{"kind": "disk", "edges": [[True, 2]]}]}
+    with pytest.raises(CertificateError, match="malformed edge"):
+        parse_certificate(json.dumps(bool_edge))
+    bool_cert = json.loads(serialize_layout(relaxed_complete(2), {"family": "K", "n": 4}))
+    bool_cert["order"][0] = True
+    for page in bool_cert["pages"]:
+        page["edges"] = [[True if x == 1 else x for x in e] for e in page["edges"]]
+    with pytest.raises(CertificateError):
+        parse_certificate(json.dumps(bool_cert))
     bad_pages = {**doc, "pages": [{"kind": "sphere", "edges": []}]}
     with pytest.raises(CertificateError):
         parse_certificate(json.dumps(bad_pages))
@@ -137,8 +151,13 @@ def test_edge_list_parsing():
         parse_edge_list("4 5\n1 2\n")
     with pytest.raises(ValueError):
         parse_edge_list("4\n1 2 3\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="line 2: edge 1-5 outside vertex range 1..2"):
         parse_edge_list("2\n1 5\n")
+    # Reported at its own line, before the lines after it are read.
+    with pytest.raises(ValueError, match="line 3: edge 0-2 outside vertex range 1..3"):
+        parse_edge_list("3\n1 2\n0 2\n1 x\n")
+    with pytest.raises(ValueError, match="line 2: loop edge at vertex 2"):
+        parse_edge_list("3\n2 2\n")
     assert parse_edge_list("1024\n1 1024\n").n == 1024
     with pytest.raises(ValueError, match="line 1: vertex count 1025 exceeds"):
         parse_edge_list("1025\n1 2\n")

@@ -187,6 +187,11 @@ _PINNED_TRAVERSALS = {
         lambda: SearchProblem(complete_graph(8), 6, Profile.STRICT, order=identity_order(8),
                               fixed_pages=literal_main_stars(4)),
         "unsat", 388),
+    # The repair stage of strict_complete(6).
+    "K12/strict/b8/fixed-mains": (
+        lambda: SearchProblem(complete_graph(12), 8, Profile.STRICT, order=identity_order(12),
+                              fixed_pages=literal_main_stars(6)),
+        "unsat", 2_844),
     "K6/relaxed-cap/b3": (
         lambda: SearchProblem(complete_graph(6), 3, Profile.RELAXED, order=identity_order(6),
                               crosscap_allowed=True),
@@ -240,8 +245,8 @@ def test_engine_crosscap_rule_matches_verifier(n, shuffled):
     problem = SearchProblem(complete_graph(n), 2, Profile.RELAXED, order=order)
     engine = _Engine(problem, order, node_budget=0, deadline=0.0)
     cap = engine.cap_idx
-    empty = engine.mask[cap], engine.cross[cap], engine.blocked[cap], engine.near[cap]
-    slack = engine.slack
+    empty = engine.mask[cap], engine.blocked[cap], engine.near[cap]
+    slack, cap_cross = engine.slack, engine.cap_cross
     seen = set()
     for chords in star_forest_edge_sets(n):
         want = crosscap_page_valid(order, crosscap_page(chords))[0]
@@ -252,8 +257,8 @@ def test_engine_crosscap_rule_matches_verifier(n, shuffled):
             for f in rest:
                 engine._apply(cap, engine.all_edges.index(f))
             got = cap in engine._pages(engine.all_edges.index(e))
-            engine.mask[cap], engine.cross[cap], engine.blocked[cap], engine.near[cap] = empty
-            engine.slack = slack
+            engine.mask[cap], engine.blocked[cap], engine.near[cap] = empty
+            engine.slack, engine.cap_cross = slack, cap_cross
             assert got == want, (chords, e)
             seen.add(got)
     assert seen == {True, False}
@@ -280,27 +285,20 @@ def test_engine_confirms_each_crosscap_rejection(monkeypatch):
 
 class _CheckedEngine(_Engine):
     """An engine that, at every node, recomputes its page state from the
-    page edge sets and its prune decision by walking every page and every
-    clique member, and compares both with what the engine keeps.
+    page edge sets and compares it with what the engine keeps.
 
     A page's blocked edges are recomputed from what they mean: edge j is
     blocked iff it is on the page, the page plus j is not a star forest,
-    or the page is a disk page and j crosses one of its edges."""
+    or the page is a disk page and j crosses one of its edges.  The
+    counting bound, the engine's one prune rule, reads only `slack`, so
+    checking `slack` at every node checks the bound too."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.reference_cliques = []
-        if self.use_clique:
-            for d in range(len(self.assignable) + 1):
-                clique = []
-                for ei in self.assignable[d:]:
-                    if all((self.conflict[ei] >> c) & 1 for c in clique):
-                        clique.append(ei)
-                self.reference_cliques.append(clique)
         self.reference_pages = {}
 
     def state(self):
-        return list(self.mask), list(self.cross), list(self.blocked), list(self.near), self.slack
+        return list(self.mask), list(self.blocked), list(self.near), self.slack, self.cap_cross
 
     def reference_page(self, p):
         """cross, blocked, near and the untouched vertex count of page p."""
@@ -325,24 +323,11 @@ class _CheckedEngine(_Engine):
     def reference_state(self):
         cross, blocked, near, free = zip(*(self.reference_page(p) for p in range(self.budget)))
         slack = sum(free) - self.mask.count(0)
-        return list(self.mask), list(cross), list(blocked), list(near), slack
-
-    def reference_prune(self, depth):
-        open_pages = [p for p in range(self.budget) if self.mask[p]]
-        capacity = sum(self.reference_page(p)[3] for p in open_pages)
-        empties = self.budget - len(open_pages)
-        if len(self.assignable) - depth > capacity + empties * (self.n - 1):
-            return True
-        if self.use_clique:
-            need = sum(all(self.conflict[c] & self.mask[p] for p in open_pages)
-                       for c in self.reference_cliques[depth])
-            return need > empties
-        return False
+        cap_cross = cross[self.cap_idx] if self.cap_idx >= 0 else 0
+        return list(self.mask), list(blocked), list(near), slack, cap_cross
 
     def _rec(self, depth):
         assert self.state() == self.reference_state()
-        if depth < len(self.assignable):
-            assert self._prune(depth) == self.reference_prune(depth)
         return super()._rec(depth)
 
 
