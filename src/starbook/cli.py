@@ -22,7 +22,13 @@ from .certs import (
 from .construct import StrictLayoutUnavailable
 from .journal import DEFAULT_JOURNAL, JournalRecord, append_record, load_records
 from .render import render_svg
-from .search import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, SearchProblem, solve
+from .search import (
+    DEFAULT_NODE_LIMIT,
+    DEFAULT_TIME_LIMIT,
+    ENGINE_VERSION,
+    SearchProblem,
+    solve,
+)
 from .verify import Profile, layout_profile, verify_layout
 
 _PROFILES = {p.value: p for p in Profile}
@@ -117,6 +123,7 @@ def _cmd_search(args) -> int:
         wall_time=round(outcome.wall_time, 3),
         certificate_digest=digest,
         extra={"reason": outcome.reason} if outcome.reason else {},
+        engine=ENGINE_VERSION,
     )
     append_record(args.journal, record)
 
@@ -153,8 +160,8 @@ def _cmd_table(args) -> int:
     ns = _parse_range(args.n)
     print("n   sa_lower bt_lower st_lower " + " ".join(f"{p.value:>12}" for p in Profile))
     for n in ns:
-        b = cons.bounds(cons.complete_graph(n))
-        built = cons.complete_layouts(n)
+        b = cons.edge_count_bounds(n, n * (n - 1) // 2)
+        constructed = cons.construction_pages(n)
         cells = []
         for prof in Profile:
             runs = [r for r in records
@@ -165,8 +172,8 @@ def _cmd_table(args) -> int:
                 floors.append(b.strict_lower)
             lower = max(floors)
             uppers = [r.budget for r in runs if r.outcome == "sat"]
-            if prof in built:
-                uppers.append(len(built[prof].pages))
+            if prof in constructed:
+                uppers.append(constructed[prof])
             upper = min(uppers, default=None)
             if upper == lower:
                 cells.append(f"k*={upper}")

@@ -8,7 +8,7 @@ cross-cap page holding the r antipodal edges.  The strict construction
 transcribed literally from its source text is kept as its own operation
 because, under the fixed cyclic reading of its leaf ranges, it fails to
 partition the edge set (duplicates and missing edges); strict_complete
-repairs it by exact search over the residual edges.
+asks the exact search for a witness instead.
 """
 
 from __future__ import annotations
@@ -237,12 +237,6 @@ def strict_literal(r: int) -> BookLayout:
     return BookLayout(complete_graph(n), identity_order(n), tuple(pages))
 
 
-def literal_main_stars(r: int) -> tuple[tuple[Edge, ...], ...]:
-    """The r fixed main stars of the strict construction (centers 1..r)."""
-    n = 2 * r
-    return tuple(tuple(sorted(_star(i, i + 1, r, n))) for i in range(1, r + 1))
-
-
 def strict_complete(
     r: int,
     node_limit: int = 10**9,
@@ -250,18 +244,14 @@ def strict_complete(
 ) -> BookLayout:
     """A verified strict layout of K_{2r} with at most r+2 star-forest pages.
 
-    Strategy: for r = 2 the n-1 single-star pages fit the budget.  For
-    r >= 3 the literal construction never verifies, so keep its r main
-    stars fixed and exactly solve the assignment of the remaining edges
-    to the r+2 pages (the repair search); if that is exhausted without a
-    witness, run the unrestricted exact search at the same budget.
+    For r = 2 the n-1 single-star pages fit the budget; for r >= 3 the
+    exact search over the identity order at budget r+2 decides.
 
     A witness exists only for r <= 3: the convex K_n cannot be split into
     fewer than n-1 noncrossing star forests (Pach, Saghafian and Schnider,
     "Decomposition of geometric graphs into star forests", GD 2023), and
-    2r-1 > r+2 for every r >= 4.  The search settles r = 4 and 5 by
-    exhausting the unrestricted budget; r = 6 is beyond it within
-    practical limits.  Deterministic for a fixed r; raises
+    2r-1 > r+2 for every r >= 4.  The search settles r = 4, 5 and 6 by
+    exhausting the budget.  Deterministic for a fixed r; raises
     StrictLayoutUnavailable (with the abort reason, or None when the
     search was exhausted) rather than ever returning an unverified layout.
     """
@@ -275,23 +265,21 @@ def strict_complete(
     if r == 2:
         return star_pages(n)
 
-    for stage, fixed in (("repair", literal_main_stars(r)), ("unrestricted", ())):
-        outcome = solve(SearchProblem(
-            graph=complete_graph(n),
-            budget=r + 2,
-            profile=Profile.STRICT,
-            order=identity_order(n),
-            node_limit=node_limit,
-            time_limit=time_limit,
-            fixed_pages=fixed,
-        ))
-        if outcome.status == "sat":
-            return outcome.layout
-        if outcome.status == "aborted":
-            raise StrictLayoutUnavailable(
-                f"{stage} search for r={r} hit its {outcome.reason} before resolving",
-                reason=outcome.reason,
-            )
+    outcome = solve(SearchProblem(
+        graph=complete_graph(n),
+        budget=r + 2,
+        profile=Profile.STRICT,
+        order=identity_order(n),
+        node_limit=node_limit,
+        time_limit=time_limit,
+    ))
+    if outcome.status == "sat":
+        return outcome.layout
+    if outcome.status == "aborted":
+        raise StrictLayoutUnavailable(
+            f"search for r={r} hit its {outcome.reason} before resolving",
+            reason=outcome.reason,
+        )
     raise StrictLayoutUnavailable(
         f"no strict {r + 2}-page star-forest layout of K_{n} exists (search exhausted)",
         reason=None,
@@ -311,25 +299,22 @@ def octahedron_pages(r: int) -> BookLayout:
     return BookLayout(octahedron(r), identity_order(2 * r), relaxed.pages[:r])
 
 
-def complete_layouts(n: int) -> dict[Profile, BookLayout]:
-    """The constructions' layouts of K_n by profile, each verified under it.
+def construction_pages(n: int) -> dict[Profile, int]:
+    """The page counts of the constructions' layouts of K_n, by profile.
 
     Strict: the n-1 star pages (n >= 2).  Relaxed, and saonly, which
     ignores the spine: relaxed_complete for even n and its odd_extension
     for odd n, with ceil(n/2)+1 pages (n >= 4).  A profile that no
-    construction covers for this n is left out.
+    construction covers for this n is left out.  The counts come from
+    the formulas; the tests build and verify the layouts.
     """
     check_size(n)
-    built = {}
+    pages = {}
     if n >= 2:
-        built[Profile.STRICT] = star_pages(n)
+        pages[Profile.STRICT] = n - 1
     if n >= 4:
-        relaxed = SCHEMES["odd" if n % 2 else "relaxed"](n // 2)
-        built[Profile.RELAXED] = built[Profile.STAR_FORESTS_ONLY] = relaxed
-    for profile, layout in built.items():
-        if not verify_layout(layout, profile).passed:
-            raise RuntimeError(f"the {profile.value} construction of K_{n} fails verification")
-    return built
+        pages[Profile.RELAXED] = pages[Profile.STAR_FORESTS_ONLY] = (n + 1) // 2 + 1
+    return pages
 
 
 # The schemes construct builds, each with its builder: `stars` builds
@@ -390,12 +375,16 @@ class BoundsSummary:
 
 
 def bounds(g: SimpleGraph) -> BoundsSummary:
-    """Edge-count lower bounds: book thickness for any graph with n >= 4,
-    and for complete graphs (m = n(n-1)/2) also star arboricity,
-    arboricity and the strict page count n - 1: the convex K_n cannot be
-    split into fewer noncrossing star forests (Pach, Saghafian and
-    Schnider, GD 2023)."""
-    n, m = g.n, g.m
+    """The lower bounds of edge_count_bounds for graph g."""
+    return edge_count_bounds(g.n, g.m)
+
+
+def edge_count_bounds(n: int, m: int) -> BoundsSummary:
+    """Edge-count lower bounds for a graph with n vertices and m edges:
+    book thickness for n >= 4, and for complete graphs (m = n(n-1)/2)
+    also star arboricity, arboricity and the strict page count n - 1:
+    the convex K_n cannot be split into fewer noncrossing star forests
+    (Pach, Saghafian and Schnider, GD 2023)."""
     bt_lower = None
     if n >= 4:
         bt_lower = max(0, math.ceil((m - n) / (n - 3)))

@@ -30,6 +30,7 @@ class JournalRecord:
     wall_time: float = 0.0
     certificate_digest: str | None = None
     extra: dict = field(default_factory=dict)
+    engine: str | None = None  # search.ENGINE_VERSION of the run; None on older rows
 
     @staticmethod
     def now_timestamp() -> str:
@@ -50,6 +51,7 @@ _FIELD_TYPES = {
     "wall_time": (int, float),
     "certificate_digest": (str, type(None)),
     "extra": dict,
+    "engine": (str, type(None)),
 }
 
 

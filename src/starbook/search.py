@@ -1,41 +1,51 @@
 """Exact backtracking solver for star-forest page assignments.
 
 Decides whether a graph's edges fit into k pages under a profile,
-returning a verified certificate or an exhaustion proof.  Edges are
-assigned in a fixed order (most crossing conflicts first, ties broken
-lexicographically); pages are tried in index order and only the first
-empty disk page may be opened, which breaks page symmetry.  The relaxed
-profile, and only it, gives the last page index to the cross-cap page,
-which is tried last.
+returning a verified certificate or an exhaustion proof.  At each node
+the search branches on the unassigned edge with the fewest pages left
+(fail first, as DSATUR colours the vertex with the fewest colours
+left), ties broken by a static rank: most crossing conflicts first,
+then the sorted edge list.  Pages are tried in index order and only the
+first empty disk page may be opened, which breaks page symmetry.  The
+relaxed profile, and only it, gives the last page index to the
+cross-cap page, which is tried last.
 
-An edge is its index in the sorted edge list.  Each chord has a bitset of
-the chords crossing it and, when there is a cross-cap page, one of the
-chords parallel to it (no shared vertex, no crossing).  Page p is kept
-as `mask[p]`, the bitset of its edges; `blocked[p]`, the edges it cannot
-take; and `near[p]`, the edges at some vertex it touches.  A page blocks
-an edge whose ends it both touches and an edge at a leaf (a vertex whose
-one page edge goes to a centre with two or more); a disk page also
-blocks the chords crossing its edges.  The cross-cap page keeps those
-chords apart instead, as `cap_cross`.  One running integer, `slack`,
-the vertices untouched by each page summed over the pages minus the
-empty pages, is the most edges the pages can still take.  Putting an
-edge on a page updates all of these in a few bitset operations; every
-page set only grows, so each search frame saves the page's values,
-`slack` and `cap_cross` and puts them back.  Whether page p can take
-edge i is then the one bit test `blocked[p]`, except on the cross-cap
-page when chord i is in `cap_cross`: there the engine applies
-`verify`'s pairwise rule to its flagged chords (those crossing some
-chord of the page), and `verify.crosscap_page_valid` must confirm every
-rejection; the engine remembers the pages it has confirmed, so each is
-confirmed once.
+Edge i is bit i of every edge set, numbered by static rank, so the
+lowest bit of a set is its edge of least rank.  Each chord has a bitset
+of the chords crossing it and, when there is a cross-cap page, one of
+the chords parallel to it (no shared vertex, no crossing).  Page p is
+kept as `mask[p]`, the bitset of its edges; `blocked[p]`, the edges it
+cannot take; and `near[p]`, the edges at some vertex it touches.  A
+page blocks an edge whose ends it both touches and an edge at a leaf (a
+vertex whose one page edge goes to a centre with two or more); a disk
+page also blocks the chords crossing its edges.  The cross-cap page
+keeps those chords apart instead, as `cap_cross`.  One running integer,
+`slack`, the vertices untouched by each page summed over the pages
+minus the empty pages, is the most edges the pages can still take.
+Putting an edge on a page updates all of these in a few bitset
+operations; every page set only grows, so each search frame saves the
+page's values, `slack` and `cap_cross` and puts them back.  Whether
+page p can take edge i is then the one bit test `blocked[p]`, except on
+the cross-cap page when chord i is in `cap_cross`: there the engine
+applies `verify`'s pairwise rule to its flagged chords (those crossing
+some chord of the page), and `verify.crosscap_page_valid` must confirm
+every rejection; the engine remembers the pages it has confirmed, so
+each is confirmed once.
+
+An edge's page count is read from the `blocked` bits alone: the open
+disk pages and the cross-cap page that do not block it, plus the first
+empty disk page.  It is kept bit-sliced over the unassigned edges, so
+finding the least count takes a few bitset operations per page.
 
 Pruning: a counting bound from the fact that distinct stars of a star
 forest can never merge (a page with c star components holds at most
-n - c edges), so a node whose unassigned edges outnumber `slack` is cut.
+n - c edges), so a node whose unassigned edges outnumber `slack` is
+cut; and a node where some unassigned edge has a page count of zero is
+cut.  Both only cut nodes below which no witness exists, and the
+branching choice only reorders the tree, so the search stays complete.
 
-The search is sequential and canonical, so certificates are
-byte-identical across runs; the first witness found is the
-lexicographically least assignment in the fixed edge order.
+The search is sequential and deterministic, so certificates are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -56,6 +66,9 @@ from .model import (
 )
 from .verify import Profile, crosscap_page_valid, verify_layout
 
+# Names the branching rule, pruning and page order, which fix every node
+# count; journal records carry it.  Change it whenever a node count moves.
+ENGINE_VERSION = "fail-first/1"
 DEFAULT_NODE_LIMIT = 10**9
 DEFAULT_TIME_LIMIT = 600.0
 # The engine's build grows about as n^4 and its crossing table as m^2; an
@@ -147,33 +160,52 @@ class _Engine:
         self.max_depth = 0
 
         fixed = {e for page in problem.fixed_pages for e in page}
-        self.all_edges = sorted(problem.graph.edges)
-        m = len(self.all_edges)
-        # Edge i is bit i of every edge set; inc[v] holds the edges at vertex v.
+        edges = sorted(problem.graph.edges)
+        m = len(edges)
+        # conflict[i]: the chords crossing chord i.  parallel[i], built only
+        # when there is a cross-cap page: the chords that share no vertex
+        # with chord i and do not cross it.  Both are first built over the
+        # sorted edge list, then renumbered by static rank.
+        conflict = [0] * m
+        parallel = [0] * m
+        if self.geometric:
+            for i in range(m):
+                for j in range(i + 1, m):
+                    e, f = edges[i], edges[j]
+                    if interleaves(order, e, f):
+                        conflict[i] |= 1 << j
+                        conflict[j] |= 1 << i
+                    elif self.cap_idx >= 0 and not set(e) & set(f):
+                        parallel[i] |= 1 << j
+                        parallel[j] |= 1 << i
+        # Static rank: the assignable edges, most crossings with other
+        # assignable edges first, ties by the sorted list; the fixed edges
+        # last.  Edge i is bit i of every edge set from here on, so the
+        # lowest bit of a set is its edge of least rank.
+        free = sum(1 << i for i, e in enumerate(edges) if e not in fixed)
+        rank = sorted(range(m), key=lambda i: (
+            edges[i] in fixed, -(conflict[i] & free).bit_count(), i))
+        bit_of = [0] * m
+        for r, i in enumerate(rank):
+            bit_of[i] = 1 << r
+
+        def renumber(mask: int) -> int:
+            out = 0
+            while mask:
+                low = mask & -mask
+                out |= bit_of[low.bit_length() - 1]
+                mask ^= low
+            return out
+
+        self.all_edges = [edges[i] for i in rank]
+        self.conflict = [renumber(conflict[i]) for i in rank]
+        self.parallel = [renumber(parallel[i]) for i in rank]
+        self.unassigned = (1 << (m - len(fixed))) - 1  # the edges the search assigns
+        # inc[v] holds the edges at vertex v.
         self.inc = inc = [0] * (self.n + 1)
         for i, (u, v) in enumerate(self.all_edges):
             inc[u] |= 1 << i
             inc[v] |= 1 << i
-        assignable = [i for i, e in enumerate(self.all_edges) if e not in fixed]
-
-        # conflict[i]: the chords crossing chord i.  parallel[i], built only
-        # when there is a cross-cap page: the chords that share no vertex
-        # with chord i and do not cross it.
-        self.conflict = [0] * m
-        self.parallel = [0] * m
-        if self.geometric:
-            for i in range(m):
-                for j in range(i + 1, m):
-                    e, f = self.all_edges[i], self.all_edges[j]
-                    if interleaves(order, e, f):
-                        self.conflict[i] |= 1 << j
-                        self.conflict[j] |= 1 << i
-                    elif self.cap_idx >= 0 and not set(e) & set(f):
-                        self.parallel[i] |= 1 << j
-                        self.parallel[j] |= 1 << i
-            assignable_mask = sum(1 << i for i in assignable)
-            assignable.sort(key=lambda i: (-(self.conflict[i] & assignable_mask).bit_count(), i))
-        self.assignable = assignable
 
         b = self.budget
         self.mask = [0] * b  # the edges on each page
@@ -181,6 +213,7 @@ class _Engine:
         self.near = [0] * b  # the edges at some vertex that the page touches
         self.slack = b * (self.n - 1)  # untouched vertices over all pages - empty pages
         self.cap_cross = 0  # the chords crossing some edge of the cross-cap page
+        self.levels = b.bit_length()  # bits of a count of pages (see _branch_edge)
         self.rejected: set[int] = set()  # cap pages the verifier has rejected
         for p, page in enumerate(problem.fixed_pages):
             for e in page:
@@ -192,7 +225,7 @@ class _Engine:
     # page state updates -------------------------------------------------
 
     def _edges(self, mask: int) -> list[Edge]:
-        return [e for j, e in enumerate(self.all_edges) if mask >> j & 1]
+        return sorted(e for j, e in enumerate(self.all_edges) if mask >> j & 1)
 
     def _pages(self, i: int):
         """The pages that can take edge i, in the order they are tried.
@@ -280,9 +313,50 @@ class _Engine:
     # search -------------------------------------------------------------
 
     def run(self) -> bool:
-        return self._rec(0)
+        return self._rec(0, self.unassigned)
 
-    def _rec(self, depth: int) -> bool:
+    def _branch_edge(self, unassigned: int) -> int:
+        """The bit of the unassigned edge with the fewest pages left, ties
+        by static rank, or 0 when some edge has no page left.
+
+        An edge's pages left are those `_pages` would offer it without
+        running `_cap_feasible`: the open disk pages and the cross-cap
+        page whose `blocked` bit is clear, plus the first empty disk page,
+        which every edge has alike.  So the fewest pages left is the most
+        of those pages blocking the edge.  That count is bit-sliced:
+        `counts[j]` holds the edges whose count has bit j set, each page's
+        `blocked` set is added with a ripple carry, and the most is read
+        from the high bit down.
+        """
+        mask, blocked = self.mask, self.blocked
+        shut = self.disks  # the open disk pages, a prefix
+        for p in range(self.disks):
+            if not mask[p]:
+                shut = p
+                break
+        counted = blocked[:shut]
+        if self.cap_idx >= 0:
+            counted.append(blocked[self.cap_idx])
+        counts = [0] * self.levels
+        for carry in counted:
+            j = 0
+            while carry:
+                c = counts[j]
+                counts[j] = c ^ carry
+                carry &= c
+                j += 1
+        most = unassigned
+        top = 0
+        for j in range(self.levels - 1, -1, -1):
+            above = most & counts[j]
+            if above:
+                most = above
+                top |= 1 << j
+        if shut == self.disks and top == len(counted):
+            return 0  # every page blocks this edge, and no disk page is empty
+        return most & -most
+
+    def _rec(self, depth: int, unassigned: int) -> bool:
         self.nodes += 1
         if depth > self.max_depth:
             self.max_depth = depth
@@ -290,17 +364,21 @@ class _Engine:
             raise _Abort("node_limit")
         if not self.nodes % 4096 and time.monotonic() > self.deadline:
             raise _Abort("time_limit")
-        if depth == len(self.assignable):
+        if not unassigned:
             return True
-        if len(self.assignable) - depth > self.slack:
+        if unassigned.bit_count() > self.slack:
             return False
-        i = self.assignable[depth]
+        bit = self._branch_edge(unassigned)
+        if not bit:
+            return False
+        i = bit.bit_length() - 1
+        rest = unassigned ^ bit
         mask, blocked, near = self.mask, self.blocked, self.near
         slack, cap_cross = self.slack, self.cap_cross
         for p in self._pages(i):
             was = mask[p], blocked[p], near[p]
             self._apply(p, i)
-            if self._rec(depth + 1):
+            if self._rec(depth + 1, rest):
                 return True
             mask[p], blocked[p], near[p] = was
             self.slack, self.cap_cross = slack, cap_cross

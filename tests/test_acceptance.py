@@ -6,7 +6,7 @@ Criterion 4 checks the refutation of the strict r+2 upper bound: the
 convex K_n cannot be split into fewer than n-1 noncrossing star forests
 (Pach, Saghafian and Schnider, GD 2023), so r+2-page strict witnesses
 exist only for r <= 3, and the exhaustive search must prove that none
-exists for K_8 and K_10.
+exists for K_8, K_10 and K_12.
 """
 
 import math
@@ -117,20 +117,18 @@ def test_criterion_4_strict_upper_bound_witnesses():
         assert serialize_layout(again) == serialize_layout(layout)
         results[r] = f"{len(layout.pages)} pages"
 
-    # r >= 4: K_2r needs 2r-1 > r+2 pages, so no witness exists.  For
-    # r = 4, 5 the unrestricted search must be exhausted; with no wall-clock
-    # limit the verdict rests on its deterministic node count, not on host
-    # speed.  K_12 at budget 8 is beyond the engine today, so for r = 6
-    # either reason is accepted, but never a layout.
-    for r, time_limit in ((4, math.inf), (5, math.inf), (6, 60.0)):
+    # r >= 4: K_2r needs 2r-1 > r+2 pages, so no witness exists, and the
+    # unrestricted search must be exhausted for r = 4, 5 and 6.  With no
+    # wall-clock limit the verdict rests on its deterministic node count,
+    # not on host speed.
+    for r in (4, 5, 6):
         try:
-            layout = strict_complete(r, time_limit=time_limit)
+            layout = strict_complete(r, time_limit=math.inf)
             results[r] = f"{len(layout.pages)} pages"
         except StrictLayoutUnavailable as exc:
             results[r] = exc.reason or "exhausted"
     elapsed = time.time() - t0
-    refuted = (results[4] == results[5] == "exhausted"
-               and results[6] in ("exhausted", "node_limit", "time_limit"))
+    refuted = results[4] == results[5] == results[6] == "exhausted"
     _line(4, refuted,
           f"strict r+2 witnesses for r<=3, refutation for r>=4: {results}, {elapsed:.0f}s")
     assert refuted, results

@@ -19,6 +19,7 @@ from starbook import (
 from starbook.certs import save_certificate, serialize_layout
 from starbook.cli import main
 from starbook.journal import load_records
+from starbook.search import ENGINE_VERSION
 
 
 def test_construct_then_verify_pipeline(tmp_path):
@@ -60,6 +61,7 @@ def test_search_exit_codes_and_journal(tmp_path):
     records = load_records(journal)
     assert [r.outcome for r in records] == ["sat", "unsat", "aborted"]
     assert records[2].extra.get("reason") == "node_limit"
+    assert {r.engine for r in records} == {ENGINE_VERSION}
 
 
 @pytest.mark.parametrize("reason, code", [
@@ -109,7 +111,7 @@ def test_relaxed_search_has_its_crosscap_page(tmp_path):
     assert main(["search", "--n", "6", "--budget", "4", "--profile", "relaxed",
                  "--journal", str(journal)]) == 0
     rec = load_records(journal)[0]
-    assert (rec.family, rec.outcome, rec.nodes) == ("K", "sat", 8_863)
+    assert (rec.family, rec.outcome, rec.nodes) == ("K", "sat", 647)
 
 
 def test_search_graph_file_input(tmp_path):
@@ -198,8 +200,8 @@ def test_render_command(tmp_path):
 
 
 def test_table_command(tmp_path, capsys):
-    # On the committed journal the strict cell of K_10 takes its lower end
-    # from st_lower (n - 1, GD 2023), since the journal proves only >= 8.
+    # On the committed journal the strict cell of K_10 reads k*=9 from both
+    # sides: the journal's budget-8 UNSAT row and st_lower (n - 1, GD 2023).
     # The upper ends of K_9 and K_12 strict (the n - 1 star pages) and of
     # K_10 relaxed (relaxed_complete(5), 6 pages) come from the
     # constructions, which the journal does not record.

@@ -6,7 +6,6 @@ from starbook import (
     bounds,
     complete_graph,
     cycle_power,
-    identity_order,
     is_star_forest,
     minus_edge,
     octahedron,
@@ -18,7 +17,8 @@ from starbook import (
     strict_literal,
     verify_layout,
 )
-from starbook.construct import family_graph, literal_main_stars
+from starbook.certs import certificate_digest
+from starbook.construct import construction_pages, family_graph
 from starbook.verify import DUPLICATE_EDGE, MISSING_EDGE
 
 
@@ -182,27 +182,36 @@ def test_strict_complete_r3_five_pages_deterministic():
     assert lay1 == lay2
     assert len(lay1.pages) <= 5
     assert verify_layout(lay1, Profile.STRICT).passed
+    # The search's witness is the five star pages.
+    assert certificate_digest(lay1) == (
+        "045f9bbfb47ae356836572bcc481cccc3fbe8eb1ed75325fd460a7fe6f79442c")
 
 
-def test_strict_complete_repair_is_infeasible_for_r4():
-    # The fixed-mains repair is exhausted without a witness (388 nodes), so
-    # strict_complete(4) falls through to the unrestricted budget-6 search,
-    # which needs 8.4M nodes to exhaust; the 10**5-node limit aborts it, and
-    # strict_complete must fail explicitly with that reason rather than
-    # return anything.  Criterion 4 of the acceptance gate runs it to the end.
-    from starbook import SearchProblem, solve
-
-    repair = solve(SearchProblem(
-        graph=complete_graph(8),
-        budget=6,
-        profile=Profile.STRICT,
-        order=identity_order(8),
-        fixed_pages=literal_main_stars(4),
-    ))
-    assert repair.status == "unsat"
+def test_strict_complete_r4_reports_why_it_has_no_witness():
+    # The budget-6 search of K_8 is exhausted in 1,890 nodes, so a
+    # 1,000-node limit aborts it and strict_complete must fail with that
+    # reason; without a limit it fails with reason None, a proof that no
+    # witness exists.
     with pytest.raises(StrictLayoutUnavailable) as excinfo:
-        strict_complete(4, node_limit=10**5, time_limit=30.0)
+        strict_complete(4, node_limit=1_000, time_limit=30.0)
     assert excinfo.value.reason == "node_limit"
+    with pytest.raises(StrictLayoutUnavailable) as excinfo:
+        strict_complete(4)
+    assert excinfo.value.reason is None
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_construction_pages_count_the_constructions(n):
+    """The page counts `table` reads are those of the verified layouts."""
+    built = {}
+    if n >= 2:
+        built[Profile.STRICT] = star_pages(n)
+    if n >= 4:
+        relaxed = odd_extension(relaxed_complete(n // 2)) if n % 2 else relaxed_complete(n // 2)
+        built[Profile.RELAXED] = built[Profile.STAR_FORESTS_ONLY] = relaxed
+    for profile, layout in built.items():
+        assert verify_layout(layout, profile).passed
+    assert construction_pages(n) == {p: len(layout.pages) for p, layout in built.items()}
 
 
 def test_strict_complete_r_max_guard():

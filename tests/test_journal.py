@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -50,6 +51,17 @@ def test_unknown_keys_are_ignored(tmp_path):
     assert records[0] == records[1]
 
 
+def test_rows_without_an_engine_version_load(tmp_path):
+    # Rows written before records named their engine lack the field.
+    path = tmp_path / "journal.jsonl"
+    append_record(path, _record(4, "unsat"))
+    doc = json.loads(path.read_text())
+    del doc["engine"]
+    path.write_text(json.dumps(doc) + "\n")
+    append_record(path, dataclasses.replace(_record(5, "sat"), engine="fail-first/1"))
+    assert [r.engine for r in load_records(path)] == [None, "fail-first/1"]
+
+
 @pytest.mark.parametrize("line, message", [
     ("[1, 2]", "line 2 is not a JSON object"),
     ('{"timestamp": "2026-01-01T00:00:00+00:00"}',
@@ -61,6 +73,9 @@ def test_unknown_keys_are_ignored(tmp_path):
     ('{"timestamp": "t", "family": "K", "params": [5], "order_policy": "identity", '
      '"profile": "strict", "budget": 4, "outcome": "sat"}',
      "line 2: field 'params' has the wrong type \\(list\\)"),
+    ('{"timestamp": "t", "family": "K", "params": {"n": 6}, "order_policy": "identity", '
+     '"profile": "strict", "budget": 4, "outcome": "sat", "engine": 2}',
+     "line 2: field 'engine' has the wrong type \\(int\\)"),
 ])
 def test_malformed_record_names_its_line(tmp_path, line, message):
     path = tmp_path / "journal.jsonl"

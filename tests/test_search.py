@@ -1,3 +1,4 @@
+import math
 import random
 from pathlib import Path
 
@@ -22,7 +23,8 @@ from starbook import (
     verify_layout,
 )
 from starbook import search
-from starbook.construct import family_graph, literal_main_stars
+from starbook.certs import certificate_digest
+from starbook.construct import family_graph
 from starbook.journal import load_records
 from starbook.model import crosscap_page
 from starbook.search import _Engine, canonical_orders
@@ -166,12 +168,20 @@ def test_deterministic_certificates():
 
 
 def test_limits_abort():
-    out = solve(SearchProblem(complete_graph(7), 5, Profile.STRICT,
-                              order=identity_order(7), node_limit=50))
+    # K_10 at budget 8 takes 230,822 nodes, so it reaches the deadline
+    # test, which runs every 4,096 nodes.
+    out = solve(SearchProblem(complete_graph(10), 8, Profile.STRICT,
+                              order=identity_order(10), node_limit=50))
     assert out.status == "aborted" and out.reason == "node_limit"
-    out = solve(SearchProblem(complete_graph(7), 5, Profile.STRICT,
-                              order=identity_order(7), time_limit=0.0))
+    out = solve(SearchProblem(complete_graph(10), 8, Profile.STRICT,
+                              order=identity_order(10), time_limit=0.0))
     assert out.status == "aborted" and out.reason == "time_limit"
+
+
+def _main_stars(r):
+    """The r main stars of the literal strict construction of K_2r: star i
+    has leaves i+1 .. i+r."""
+    return tuple(tuple((i, j) for j in range(i + 1, i + r + 1)) for i in range(1, r + 1))
 
 
 # Exact verdicts and node counts of the engine's traversal.  Any change to
@@ -179,45 +189,48 @@ def test_limits_abort():
 _PINNED_TRAVERSALS = {
     "K7/strict/b5/identity": (
         lambda: SearchProblem(complete_graph(7), 5, Profile.STRICT, order=identity_order(7)),
-        "unsat", 48_631),
+        "unsat", 273),
     "K6/strict/b4/all-orders": (
         lambda: SearchProblem(complete_graph(6), 4, Profile.STRICT, optimize_order=True),
-        "unsat", 56_934),
+        "unsat", 4_171),
+    # Criterion 4's r = 6; K_8 b6 and K_10 b7, b8 are journal rows.
+    "K12/strict/b8/identity": (
+        lambda: SearchProblem(complete_graph(12), 8, Profile.STRICT, order=identity_order(12)),
+        "unsat", 4_636),
     "K8/strict/b6/fixed-mains": (
         lambda: SearchProblem(complete_graph(8), 6, Profile.STRICT, order=identity_order(8),
-                              fixed_pages=literal_main_stars(4)),
-        "unsat", 388),
-    # The repair stage of strict_complete(6).
+                              fixed_pages=_main_stars(4)),
+        "unsat", 29),
     "K12/strict/b8/fixed-mains": (
         lambda: SearchProblem(complete_graph(12), 8, Profile.STRICT, order=identity_order(12),
-                              fixed_pages=literal_main_stars(6)),
-        "unsat", 2_844),
+                              fixed_pages=_main_stars(6)),
+        "unsat", 51),
     "K6/relaxed-cap/b3": (
         lambda: SearchProblem(complete_graph(6), 3, Profile.RELAXED, order=identity_order(6),
                               crosscap_allowed=True),
-        "unsat", 62),
+        "unsat", 31),
     "K6/relaxed-cap/b4": (
         lambda: SearchProblem(complete_graph(6), 4, Profile.RELAXED, order=identity_order(6),
                               crosscap_allowed=True),
-        "sat", 8_863),
+        "sat", 647),
     "K6/saonly/b3": (
         lambda: SearchProblem(complete_graph(6), 3, Profile.STAR_FORESTS_ONLY),
-        "unsat", 356),
+        "unsat", 51),
     "K7/saonly/b5": (
         lambda: SearchProblem(complete_graph(7), 5, Profile.STAR_FORESTS_ONLY),
-        "sat", 3_927),
+        "sat", 43),
     "K8/relaxed-cap/b5": (
         lambda: SearchProblem(complete_graph(8), 5, Profile.RELAXED, order=identity_order(8),
                               crosscap_allowed=True),
-        "sat", 77_359),
+        "sat", 2_923),
     "K9/relaxed-cap/b5": (
         lambda: SearchProblem(complete_graph(9), 5, Profile.RELAXED, order=identity_order(9),
                               crosscap_allowed=True),
-        "unsat", 23_095),
+        "unsat", 1_376),
     "K6-e/strict/b4/all-orders": (
         lambda: SearchProblem(minus_edge(complete_graph(6), (1, 2)), 4, Profile.STRICT,
                               optimize_order=True),
-        "sat", 297),
+        "sat", 49),
 }
 
 
@@ -278,24 +291,37 @@ def test_engine_confirms_each_crosscap_rejection(monkeypatch):
 
     monkeypatch.setattr(search, "crosscap_page_valid", counting)
     out = solve(SearchProblem(complete_graph(6), 4, Profile.RELAXED, order=identity_order(6)))
-    assert (out.status, out.nodes) == ("sat", 8_863)
+    assert (out.status, out.nodes) == ("sat", 647)
     assert results and all(r == (False, None) for r in results)
     assert len({page.edge_set for page in pages}) == len(pages)
 
 
 class _CheckedEngine(_Engine):
-    """An engine that, at every node, recomputes its page state from the
-    page edge sets and compares it with what the engine keeps.
+    """An engine that, at every node, recomputes its page state and its
+    branching choice from the page edge sets and compares them with what
+    the engine keeps and chooses.
 
     A page's blocked edges are recomputed from what they mean: edge j is
     blocked iff it is on the page, the page plus j is not a star forest,
     or the page is a disk page and j crosses one of its edges.  The
-    counting bound, the engine's one prune rule, reads only `slack`, so
-    checking `slack` at every node checks the bound too."""
+    counting bound reads only `slack`, so checking `slack` at every node
+    checks the bound too.  An unassigned edge's page count is recomputed
+    with a plain loop over the pages, as `_pages` offers them but without
+    the cross-cap rule: the branched edge must have the least count, ties
+    by static rank (its bit index), and a node where some edge has a
+    count of zero must be cut without a child."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.reference_pages = {}
+        fixed = {e for page in self.problem.fixed_pages for e in page}
+        free = [e for e in self.all_edges if e not in fixed]
+
+        def crossings(e):
+            return sum(self.geometric and segments_cross(self.order, e, f) for f in free)
+
+        assert free == sorted(free, key=lambda e: (-crossings(e), e))  # the static rank
+        assert self.all_edges[:len(free)] == free
 
     def state(self):
         return list(self.mask), list(self.blocked), list(self.near), self.slack, self.cap_cross
@@ -326,34 +352,77 @@ class _CheckedEngine(_Engine):
         cap_cross = cross[self.cap_idx] if self.cap_idx >= 0 else 0
         return list(self.mask), list(blocked), list(near), slack, cap_cross
 
-    def _rec(self, depth):
+    def reference_counts(self, unassigned):
+        """Edge index -> its page count, for each unassigned edge."""
+        counts = {}
+        for i in range(len(self.all_edges)):
+            if not unassigned >> i & 1:
+                continue
+            count = 0
+            for p in range(self.disks):
+                if not self.mask[p]:
+                    count += 1  # the first empty disk page; no later one is offered
+                    break
+                count += not self.reference_page(p)[1] >> i & 1
+            if self.cap_idx >= 0:
+                count += not self.reference_page(self.cap_idx)[1] >> i & 1
+            counts[i] = count
+        return counts
+
+    def _branch_edge(self, unassigned):
+        bit = super()._branch_edge(unassigned)
+        counts = self.reference_counts(unassigned)
+        least = min(counts.values())
+        if least == 0:
+            assert bit == 0
+        else:
+            assert bit == 1 << min(i for i, c in counts.items() if c == least)
+        return bit
+
+    def _rec(self, depth, unassigned):
         assert self.state() == self.reference_state()
-        return super()._rec(depth)
+        placed = 0
+        for p in range(self.budget):
+            placed |= self.mask[p]
+        assert unassigned == self.unassigned & ~placed
+        dead = (unassigned and unassigned.bit_count() <= self.slack
+                and 0 in self.reference_counts(unassigned).values())
+        before = self.nodes
+        found = super()._rec(depth, unassigned)
+        if dead:
+            assert not found and self.nodes == before + 1
+        return found
 
 
 @pytest.mark.parametrize("case", [
-    "K7/strict/b5/identity", "K6/relaxed-cap/b4", "K6/saonly/b3", "K8/strict/b6/fixed-mains"])
+    "K7/strict/b5/identity", "K6/relaxed-cap/b4", "K6/saonly/b3", "K8/strict/b6/fixed-mains",
+    "K9/relaxed-cap/b5", "K6/strict/b4/all-orders"])
 def test_incremental_page_state_matches_recomputation(case):
     make, status, nodes = _PINNED_TRAVERSALS[case]
     problem = make()
-    engine = _CheckedEngine(problem, problem.order or identity_order(problem.graph.n),
-                            10**9, float("inf"))
-    initial = engine.state()
-    found = engine.run()
-    assert (("sat" if found else "unsat"), engine.nodes) == (status, nodes)
-    if not found:  # an exhausted search has taken every edge off again
-        assert engine.state() == initial
+    orders = canonical_orders(problem.graph.n) if problem.optimize_order else [
+        problem.order or identity_order(problem.graph.n)]
+    found, total = False, 0
+    for order in orders:
+        engine = _CheckedEngine(problem, order, 10**9, float("inf"))
+        initial = engine.state()
+        found = engine.run()
+        total += engine.nodes
+        if found:
+            break
+        assert engine.state() == initial  # an exhausted search has taken every edge off again
+    assert (("sat" if found else "unsat"), total) == (status, nodes)
 
 
-# Every committed journal row that a test can afford, searched again.  The
-# two rows of 8M nodes (K_8 at budget 6, K_10 at budget 7) are criterion 4's.
-_JOURNAL_ROWS = [rec for rec in load_records(Path(__file__).parent.parent / "results" / "journal.jsonl")
-                 if rec.nodes <= 300_000]
+# Every committed journal row, searched again: its verdict, its node count
+# and, for a SAT row, its certificate digest.
+_JOURNAL_ROWS = load_records(Path(__file__).parent.parent / "results" / "journal.jsonl")
 
 
 @pytest.mark.parametrize("rec", _JOURNAL_ROWS, ids=lambda rec: (
     f"{rec.family}{rec.params['n']}/{rec.profile}/b{rec.budget}/{rec.order_policy}"))
 def test_journal_replay(rec):
+    assert rec.engine == search.ENGINE_VERSION
     graph = family_graph(rec.params["n"], {"family": rec.family, **rec.params})
     out = solve(SearchProblem(
         graph, rec.budget, rec.profile,
@@ -361,6 +430,86 @@ def test_journal_replay(rec):
         optimize_order=rec.order_policy == "optimize",
     ))
     assert (out.status, out.nodes) == (rec.outcome, rec.nodes)
+    digest = None
+    if out.status == "sat":
+        meta = {"family": rec.family, **rec.params, "scheme": "search",
+                "profile": rec.profile, "budget": rec.budget}
+        digest = certificate_digest(out.layout, meta)
+    assert digest == rec.certificate_digest
+
+
+def _fewest_blocks(m, valid):
+    """fewest[whole]: the fewest blocks, each with valid[block], that
+    partition the edge set `whole` (a bitmask over m edges); math.inf
+    when none do."""
+    fewest = [0] + [math.inf] * ((1 << m) - 1)
+    for whole in range(1, 1 << m):
+        low = whole & -whole  # the lowest edge; try every block holding it
+        rest = sub = whole ^ low
+        while True:
+            if valid[sub | low]:
+                fewest[whole] = min(fewest[whole], fewest[rest ^ sub] + 1)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    return fewest
+
+
+def _oracle_least_pages(graph, order):
+    """The least page count of each profile, by trying every partition of
+    the edges into pages: conftest's star-forest and crossing tests for
+    disk pages, `verify.crosscap_page_valid` for the cross-cap page."""
+    edges = sorted(graph.edges)
+    m = len(edges)
+    members = [[edges[j] for j in range(m) if s >> j & 1] for s in range(1 << m)]
+    star = [brute_star_forest(es) for es in members]
+    crossing = {(e, f) for e in edges for f in edges if segments_cross(order, e, f)}
+    disk = [star[s] and not any((e, f) in crossing for e in es for f in es)
+            for s, es in enumerate(members)]
+    cap = [star[s] and crosscap_page_valid(order, crosscap_page(es))[0]
+           for s, es in enumerate(members)]
+    full = (1 << m) - 1
+    disks = _fewest_blocks(m, disk)
+    return {
+        Profile.STAR_FORESTS_ONLY: _fewest_blocks(m, star)[full],
+        Profile.STRICT: disks[full],
+        # The cross-cap page takes any cap-valid set, the empty one included.
+        Profile.RELAXED: 1 + min(disks[full ^ s] for s in range(1 << m) if cap[s]),
+    }
+
+
+def _oracle_graphs():
+    yield "K5", complete_graph(5), identity_order(5)
+    # Relaxed needs 3 pages here, and would need 2 if any star forest could
+    # be the cross-cap page.
+    yield "cap-rule", SimpleGraph(6, frozenset(
+        [(1, 4), (1, 5), (2, 3), (2, 4), (2, 6), (3, 5), (5, 6)])), identity_order(6)
+    rng = random.Random(11)
+    for t in range(60):
+        n = rng.randint(4, 6)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        graph = SimpleGraph(n, frozenset(rng.sample(pairs, rng.randint(5, min(10, len(pairs))))))
+        yield f"G{t}", graph, _spine(n, shuffled=t % 2 == 1)
+
+
+def test_verdicts_match_exhaustive_partition_oracle():
+    """On K_5, a graph that needs the cross-cap rule, and 60 random graphs
+    of at most 6 vertices and 10 edges, at budgets 2..4 under all three
+    profiles, the engine's verdict is SAT iff some partition of the edges
+    fits the budget."""
+    verdicts, cap_saves = set(), 0
+    for name, graph, order in _oracle_graphs():
+        least = _oracle_least_pages(graph, order)
+        cap_saves += least[Profile.RELAXED] < least[Profile.STRICT]
+        for profile in Profile:
+            spine = None if profile is Profile.STAR_FORESTS_ONLY else order
+            for budget in (2, 3, 4):
+                got = solve(SearchProblem(graph, budget, profile, order=spine)).status
+                assert got == ("sat" if least[profile] <= budget else "unsat"), (
+                    name, sorted(graph.edges), profile, budget, least[profile])
+                verdicts.add((profile, got))
+    assert len(verdicts) == 6  # each profile meets both verdicts
+    assert cap_saves  # and the cross-cap page saves a page somewhere
 
 
 # A layout does not depend on vertex names: relabelling the graph and its
@@ -435,15 +584,13 @@ def test_optimize_order_unsat_is_order_free():
 
 
 def test_repair_with_fixed_pages_r3():
-    from starbook.construct import literal_main_stars
-
     out = solve(SearchProblem(
         graph=complete_graph(6), budget=5, profile=Profile.STRICT,
-        order=identity_order(6), fixed_pages=literal_main_stars(3),
+        order=identity_order(6), fixed_pages=_main_stars(3),
     ))
     assert out.status == "sat"
     # main stars stay on their pages
-    for i, main in enumerate(literal_main_stars(3)):
+    for i, main in enumerate(_main_stars(3)):
         assert set(main) <= out.layout.pages[i].edge_set
 
 
