@@ -33,7 +33,9 @@ from .verify import Profile, verify_layout
 # Most vertices of any graph built from a size a user names: K_n has
 # n(n-1)/2 edges, and every layout holds each of them.
 MAX_VERTICES = 1024
-STRICT_R_MAX = 6  # largest r that strict_complete accepts; the searches beyond it cannot finish
+# Largest r that strict_complete accepts: the largest whose budget-(r+2)
+# search has been run to exhaustion (K_20 at budget 12, 19,013 nodes).
+STRICT_R_MAX = 10
 
 # The graph families family_graph builds, each with its parameters besides n.
 FAMILIES = {"K": (), "O": ("r",), "Cpow": ("k",), "K-e": ("e",)}
@@ -250,8 +252,8 @@ def strict_complete(
     A witness exists only for r <= 3: the convex K_n cannot be split into
     fewer than n-1 noncrossing star forests (Pach, Saghafian and Schnider,
     "Decomposition of geometric graphs into star forests", GD 2023), and
-    2r-1 > r+2 for every r >= 4.  The search settles r = 4, 5 and 6 by
-    exhausting the budget.  Deterministic for a fixed r; raises
+    2r-1 > r+2 for every r >= 4.  The search settles r = 4..STRICT_R_MAX
+    by exhausting the budget.  Deterministic for a fixed r; raises
     StrictLayoutUnavailable (with the abort reason, or None when the
     search was exhausted) rather than ever returning an unverified layout.
     """

@@ -2,16 +2,19 @@ import pytest
 
 from starbook import (
     Profile,
+    SearchProblem,
     StrictLayoutUnavailable,
     bounds,
     complete_graph,
     cycle_power,
+    identity_order,
     is_star_forest,
     minus_edge,
     octahedron,
     octahedron_pages,
     odd_extension,
     relaxed_complete,
+    solve,
     star_pages,
     strict_complete,
     strict_literal,
@@ -214,8 +217,18 @@ def test_construction_pages_count_the_constructions(n):
     assert construction_pages(n) == {p: len(layout.pages) for p, layout in built.items()}
 
 
+def test_strict_complete_r7_is_exhausted():
+    # K_14 at budget 9 is exhausted in 6,805 nodes on the identity order,
+    # so strict_complete(7) proves that no witness exists.
+    outcome = solve(SearchProblem(complete_graph(14), 9, Profile.STRICT, order=identity_order(14)))
+    assert (outcome.status, outcome.nodes) == ("unsat", 6_805)
+    with pytest.raises(StrictLayoutUnavailable) as excinfo:
+        strict_complete(7)
+    assert excinfo.value.reason is None
+
+
 def test_strict_complete_r_max_guard():
-    for r in (7, 9):
+    for r in (11, 13):
         with pytest.raises(ValueError):
             strict_complete(r)
     with pytest.raises(ValueError):
