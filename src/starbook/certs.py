@@ -8,13 +8,53 @@ graph being decomposed through construct.family_graph; without a family
 the complete graph on n vertices is assumed, and a family parameter
 that is not a JSON integer is a CertificateError.
 
+The bytes are exactly what json.dumps(doc, indent=1, sort_keys=True)
+followed by one newline gives, written directly by serialize_layout:
+
+    {
+     "format": "starbook-cert/1",
+     "meta": {
+      "family": "K",
+      "n": 4
+     },
+     "n": 4,
+     "order": [
+      1,
+      ...
+     ],
+     "pages": [
+      {
+       "edges": [
+        [
+         1,
+         2
+        ],
+        ...
+       ],
+       "kind": "disk"
+      },
+      ...
+     ]
+    }
+
+Each nesting level indents by one more space; keys are in sorted order
+(format, meta, n, order, pages; in a page edges, kind); an item ends in
+a comma unless it is the last; an empty list or object is written as
+[] or {}; the file ends with a newline.  Every vertex and edge endpoint
+sits on its own line.  meta is encoded by json.dumps(meta, indent=1,
+sort_keys=True), so its strings are ASCII, with JSON escapes (\\", \\n,
+\\u00e9) for quotes, control and non-ASCII characters; its lines after
+the first are indented by one space.
+
 A plain-text edge-list format is also accepted for graph input: the
 vertex count on the first line, then one "u v" pair per line,
 whitespace-tolerant.
 
 Both formats reject more than MAX_VERTICES vertices, because a
 certificate's graph is rebuilt from its vertex count alone (K_n has
-n(n-1)/2 edges).
+n(n-1)/2 edges).  A certificate's order may list at most n vertices and
+its pages at most n(n-1)/2 edges in all, the most any graph on n
+vertices has; both are checked before a single edge is read.
 """
 
 from __future__ import annotations
@@ -40,24 +80,24 @@ class CertificateError(ValueError):
     """Raised when a certificate file is structurally malformed."""
 
 
-def layout_to_dict(layout: BookLayout, meta: dict | None = None) -> dict:
-    disks = [p for p in layout.pages if p.kind is PageKind.DISK]
-    caps = [p for p in layout.pages if p.kind is PageKind.CROSSCAP]
-    return {
-        "format": FORMAT_TAG,
-        "n": layout.graph.n,
-        "order": list(layout.order.seq),
-        "pages": [
-            {"kind": p.kind.value, "edges": [list(e) for e in sorted(p.edges)]}
-            for p in disks + caps
-        ],
-        "meta": dict(meta or {}),
-    }
-
-
 def serialize_layout(layout: BookLayout, meta: dict | None = None) -> str:
-    """Canonical text form: equal layouts give identical bytes."""
-    return json.dumps(layout_to_dict(layout, meta), indent=1, sort_keys=True) + "\n"
+    """Canonical text form: equal layouts give identical bytes (see the module docstring)."""
+    pages = [p for p in layout.pages if p.kind is PageKind.DISK]
+    pages += [p for p in layout.pages if p.kind is PageKind.CROSSCAP]
+    page_texts = []
+    for p in pages:
+        edges = _array([f"    [\n     {u},\n     {v}\n    ]" for u, v in sorted(p.edges)], "   ")
+        page_texts.append(f'  {{\n   "edges": {edges},\n   "kind": "{p.kind.value}"\n  }}')
+    # json.dumps escapes newlines inside strings, so every newline it writes is structural.
+    meta_text = json.dumps(dict(meta or {}), indent=1, sort_keys=True).replace("\n", "\n ")
+    order = _array([f"  {v}" for v in layout.order.seq], " ")
+    return (f'{{\n "format": "{FORMAT_TAG}",\n "meta": {meta_text},\n "n": {layout.graph.n},\n'
+            f' "order": {order},\n "pages": {_array(page_texts, " ")}\n}}\n')
+
+
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of items already written one per line; its ] closes at indent."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
 def certificate_digest(layout: BookLayout, meta: dict | None = None) -> str:
@@ -88,24 +128,32 @@ def parse_certificate(text: str) -> tuple[BookLayout, dict]:
     order = doc.get("order")
     if not isinstance(order, list) or not all(type(v) is int for v in order):
         raise CertificateError("order must be a list of integers")
+    if len(order) > n:
+        raise CertificateError(f"order lists {len(order)} vertices, more than n = {n}")
     raw_pages = doc.get("pages")
     if not isinstance(raw_pages, list):
         raise CertificateError("pages must be a list")
-    pages = []
+    kinds = []
     for i, rp in enumerate(raw_pages):
         if not isinstance(rp, dict):
             raise CertificateError(f"page {i + 1} must be an object")
         try:
-            kind = PageKind(rp.get("kind"))
+            kinds.append(PageKind(rp.get("kind")))
         except ValueError:
             raise CertificateError(f"page {i + 1} has unknown kind {rp.get('kind')!r}") from None
-        raw_edges = rp.get("edges")
-        if not isinstance(raw_edges, list):
+        if not isinstance(rp.get("edges"), list):
             raise CertificateError(f"page {i + 1} edges must be a list")
+    entries = sum(len(rp["edges"]) for rp in raw_pages)
+    m_max = n * (n - 1) // 2
+    if entries > m_max:
+        raise CertificateError(f"pages list {entries} edges, more than the {m_max} "
+                               f"of a graph on {n} vertices")
+    pages = []
+    for i, (kind, rp) in enumerate(zip(kinds, raw_pages)):
         es = []
-        for re_ in raw_edges:
-            if (not isinstance(re_, list) or len(re_) != 2
-                    or not all(type(x) is int for x in re_)):
+        for re_ in rp["edges"]:
+            if not (type(re_) is list and len(re_) == 2
+                    and type(re_[0]) is int and type(re_[1]) is int):
                 raise CertificateError(f"page {i + 1} has a malformed edge {re_!r}")
             u, v = re_
             if not 1 <= u < v:

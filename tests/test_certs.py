@@ -1,8 +1,17 @@
+import hashlib
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starbook import (
+    BookLayout,
+    CircularOrder,
+    Page,
+    PageKind,
+    SimpleGraph,
     complete_graph,
     octahedron,
     octahedron_pages,
@@ -13,6 +22,7 @@ from starbook import (
     strict_literal,
 )
 from starbook.certs import (
+    FORMAT_TAG,
     CertificateError,
     certificate_digest,
     parse_certificate,
@@ -41,6 +51,7 @@ def test_round_trip_identity(make):
     if layout.graph.edges != complete_graph(layout.graph.n).edges:
         meta = {"family": "O", "r": layout.graph.n // 2, "n": layout.graph.n}
     text = serialize_layout(layout, meta)
+    assert text == _json_dumps_reference(layout, meta)
     parsed, parsed_meta = parse_certificate(text)
     assert parsed == layout
     assert parsed_meta == meta
@@ -63,6 +74,84 @@ def test_cap_page_serialized_last_and_edges_sorted():
         assert p["edges"] == sorted(p["edges"])
         for u, v in p["edges"]:
             assert u < v
+
+
+def _json_dumps_reference(layout, meta=None):
+    """The certificate text as json.dumps wrote it before the direct writer."""
+    disks = [p for p in layout.pages if p.kind is PageKind.DISK]
+    caps = [p for p in layout.pages if p.kind is PageKind.CROSSCAP]
+    doc = {
+        "format": FORMAT_TAG,
+        "n": layout.graph.n,
+        "order": list(layout.order.seq),
+        "pages": [{"kind": p.kind.value, "edges": [list(e) for e in sorted(p.edges)]}
+                  for p in disks + caps],
+        "meta": dict(meta or {}),
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+_META_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats()
+    | st.text(max_size=6) | st.sampled_from(["é", "\u2603", "\n\t\"\\", "\x00", "\U0001f600"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _layouts(draw):
+    n = draw(st.integers(0, 7))
+    edges = list(itertools.combinations(range(1, n + 1), 2))
+    order = draw(st.lists(st.integers(-2, n + 2), max_size=n))
+    pages = draw(st.lists(
+        st.tuples(st.sampled_from(list(PageKind)),
+                  st.lists(st.sampled_from(edges), max_size=6) if edges else st.just([])),
+        max_size=4))
+    meta = draw(st.none() | st.dictionaries(st.text(max_size=4), _META_VALUES, max_size=4))
+    layout = BookLayout(SimpleGraph(n, frozenset(edges)), CircularOrder(tuple(order)),
+                        tuple(Page(kind, tuple(es)) for kind, es in pages))
+    return layout, meta
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_layouts())
+def test_serialization_matches_json_dumps(case):
+    # Empty orders, zero or empty pages, cross-cap pages listed before disk
+    # pages, and meta with nesting, None, floats and non-ASCII strings.
+    layout, meta = case
+    assert serialize_layout(layout, meta) == _json_dumps_reference(layout, meta)
+
+
+def test_relaxed_r128_certificate_digest_is_pinned():
+    # The file `starbook construct --scheme relaxed --r 128` writes.
+    layout = relaxed_complete(128)
+    meta = {"family": "K", "n": 256, "r": 128, "scheme": "relaxed"}
+    text = serialize_layout(layout, meta)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "f9d2cb7e3ea747c06d88f4165fe792c270312825ec9364b7b35e0b06d15a148d"
+    assert certificate_digest(layout, meta) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_parse_bounds_list_lengths():
+    doc = json.loads(serialize_layout(star_pages(4), {"family": "K", "n": 4}))
+    assert sum(len(p["edges"]) for p in doc["pages"]) == 6  # all of K_4's edges
+    with pytest.raises(CertificateError, match="order lists 5 vertices, more than n = 4"):
+        parse_certificate(json.dumps({**doc, "order": [1, 2, 3, 4, 1]}))
+    extra = {"kind": "disk", "edges": [[1, 2]]}
+    with pytest.raises(CertificateError,
+                       match="pages list 7 edges, more than the 6 of a graph on 4 vertices"):
+        parse_certificate(json.dumps({**doc, "pages": doc["pages"] + [extra]}))
+    # The count is checked before any edge is read.
+    junk = {"kind": "disk", "edges": ["x"] * 7}
+    with pytest.raises(CertificateError, match="pages list 7 edges"):
+        parse_certificate(json.dumps({**doc, "pages": [junk]}))
+    with pytest.raises(CertificateError, match="more than the 0 of a graph on 1 vertices"):
+        parse_certificate(json.dumps({**doc, "n": 1, "order": [1], "pages": [extra]}))
+    # A duplicated edge in place of a missing one stays within the bound.
+    layout, _ = parse_certificate(serialize_layout(strict_literal(4)))
+    assert sum(len(p) for p in layout.pages) == 28
 
 
 def test_parse_rejects_malformed():

@@ -146,6 +146,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps({"format": "starbook-cert/1", "n": 10**9, "order": [],
                                "pages": []}))
     assert main(["verify", str(bad)]) == 2  # rejected before K_n is built
+    overfull = json.loads(serialize_layout(star_pages(4), {"family": "K", "n": 4}))
+    overfull["pages"].append({"kind": "disk", "edges": [[1, 2]]})
+    bad.write_text(json.dumps(overfull))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 2
+    assert "pages list 7 edges, more than the 6 of a graph on 4 vertices" in \
+        capsys.readouterr().err
     huge = tmp_path / "huge.txt"
     huge.write_text("1025\n1 2\n")
     assert main(["search", "--graph", str(huge), "--budget", "3"]) == 2
@@ -304,17 +311,21 @@ def test_exit_status_agrees_with_report_on_fixture_corpus(tmp_path):
             corpus.append((bad, {"family": "K", "n": bad.graph.n}))
     assert len(corpus) == 50
 
-    agreements = 0
+    codes = []
     for i, (layout, meta) in enumerate(corpus):
         path = tmp_path / f"case{i:02d}.json"
         save_certificate(path, layout, meta)
         profile = Profile.RELAXED if "crosscap" in {p.kind.value for p in layout.pages} \
             else Profile.STRICT
-        expected = verify_layout(layout, profile).passed
+        n = layout.graph.n
+        if sum(len(p) for p in layout.pages) > n * (n - 1) // 2:
+            expected = 2  # a duplicated edge on top of all of K_n's: refused as input
+        else:
+            expected = 0 if verify_layout(layout, profile).passed else 1
         code = main(["verify", str(path), "--profile", profile.value])
-        assert code == (0 if expected else 1), (i, meta)
-        agreements += 1
-    assert agreements == 50
+        assert code == expected, (i, meta)
+        codes.append(code)
+    assert len(codes) == 50 and set(codes) == {0, 1, 2}
 
 
 def test_construct_stdout_when_no_out(capsys):
