@@ -151,6 +151,8 @@ def _parse_range(spec: str) -> list[int]:
         lo = hi = int(spec)
     if lo > hi:
         raise ValueError(f"empty range {spec!r}")
+    if lo < 1:
+        raise ValueError(f"K_n needs n >= 1, got {lo} in {spec!r}")
     cons.check_size(hi)
     return list(range(lo, hi + 1))
 

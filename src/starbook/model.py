@@ -8,10 +8,10 @@ or in a disk with a single cross-cap.
 All types here are immutable values and all operations are pure
 functions, so everything is safe to share across threads.  The layout
 containers are deliberately lenient: structural problems (orders that
-are not permutations, pages whose edges are not graph edges, duplicated
-edges) are representable and are reported by the verifier rather than
-rejected at construction time, so that untrusted certificates can be
-loaded and diagnosed.
+are not permutations, pages whose edges are not graph edges, reversed
+pairs and loops among them, duplicated edges) are representable and are
+reported by the verifier rather than rejected at construction time, so
+that untrusted certificates can be loaded and diagnosed.
 """
 
 from __future__ import annotations
@@ -97,19 +97,16 @@ class PageKind(str, Enum):
 
 @dataclass(frozen=True)
 class Page:
-    """One page of a layout: a kind plus the edges drawn on it."""
+    """One page of a layout: a kind plus the edges drawn on it, kept as
+    given.  Callers pass canonical edges; a reversed pair or a loop is
+    not a graph edge, and the verifier reports it as foreign."""
 
     kind: PageKind
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "kind", PageKind(self.kind))
-        es = []
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"loop edge at vertex {u}")
-            es.append((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", tuple(es))
+        object.__setattr__(self, "edges", tuple(self.edges))
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:

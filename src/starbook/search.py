@@ -6,9 +6,10 @@ the search branches on the unassigned edge with the fewest pages left
 (fail first, as DSATUR colours the vertex with the fewest colours
 left), ties broken by a static rank: most crossing conflicts first,
 then the sorted edge list.  Pages are tried in index order and only the
-first empty disk page may be opened, which breaks page symmetry.  The
-relaxed profile, and only it, gives the last page index to the
-cross-cap page, which is tried last.
+first empty disk page may be opened, which breaks page symmetry; so the
+open disk pages are always a prefix, and the search passes their count
+down the recursion.  The relaxed profile, and only it, gives the last
+page index to the cross-cap page, which is tried last.
 
 Edge i is bit i of every edge set, numbered by static rank, so the
 lowest bit of a set is its edge of least rank.  Each chord has a bitset
@@ -215,10 +216,21 @@ class _Engine:
         self.cap_cross = 0  # the chords crossing some edge of the cross-cap page
         self.levels = b.bit_length()  # bits of a count of pages (see _branch_edge)
         self.rejected: set[int] = set()  # cap pages the verifier has rejected
+        # tried[k]: the pages tried when disk pages 0 .. k-1 are open, in
+        # order (those, the first empty disk page if any, the cross-cap
+        # page), each with the open count below it: k + 1 on the first
+        # empty disk page, k elsewhere.
+        self.tried = []
+        for k in range(self.disks + 1):
+            pages = [(p, k + (p == k)) for p in range(min(k + 1, self.disks))]
+            if self.cap_idx >= 0:
+                pages.append((self.cap_idx, k))
+            self.tried.append(tuple(pages))
+        # Fixed page p is a disk page that is open or the first empty one.
         for p, page in enumerate(problem.fixed_pages):
             for e in page:
                 i = self.all_edges.index(e)
-                if p not in self._pages(i):
+                if self.blocked[p] >> i & 1:
                     raise ValueError(f"fixed page {p} is not a valid star-forest disk page")
                 self._apply(p, i)
 
@@ -226,27 +238,6 @@ class _Engine:
 
     def _edges(self, mask: int) -> list[Edge]:
         return sorted(e for j, e in enumerate(self.all_edges) if mask >> j & 1)
-
-    def _pages(self, i: int):
-        """The pages that can take edge i, in the order they are tried.
-
-        A page that `blocked` marks is skipped.  Of the empty disk pages
-        only the first is offered; the open disk pages come before it,
-        because no later one can have been opened.  The cross-cap page
-        comes last and, when edge i crosses it, runs `_cap_feasible`.
-        Lazy, so each test runs only once the pages before it are done.
-        """
-        bit = 1 << i
-        mask, blocked = self.mask, self.blocked
-        for p in range(self.disks):
-            if not blocked[p] & bit:
-                yield p
-                if not mask[p]:
-                    break
-        cap = self.cap_idx
-        if cap >= 0 and not blocked[cap] & bit and (
-                not self.cap_cross & bit or self._cap_feasible(i)):
-            yield cap
 
     def _cap_feasible(self, i: int) -> bool:
         """The pairwise rule of `verify` on the cross-cap page plus chord i:
@@ -278,7 +269,7 @@ class _Engine:
         return False
 
     def _apply(self, p: int, i: int) -> None:
-        """Put edge i (u, v) on page p, which `_pages` offered for it.
+        """Put edge i (u, v) on page p, which `_rec` tried for it.
 
         A page blocks an edge whose ends it both touches, and an edge at
         a leaf: a vertex whose one page edge goes to a centre with two or
@@ -313,28 +304,23 @@ class _Engine:
     # search -------------------------------------------------------------
 
     def run(self) -> bool:
-        return self._rec(0, self.unassigned)
+        return self._rec(0, self.unassigned, len(self.problem.fixed_pages))
 
-    def _branch_edge(self, unassigned: int) -> int:
+    def _branch_edge(self, unassigned: int, opened: int) -> int:
         """The bit of the unassigned edge with the fewest pages left, ties
         by static rank, or 0 when some edge has no page left.
 
-        An edge's pages left are those `_pages` would offer it without
-        running `_cap_feasible`: the open disk pages and the cross-cap
-        page whose `blocked` bit is clear, plus the first empty disk page,
-        which every edge has alike.  So the fewest pages left is the most
-        of those pages blocking the edge.  That count is bit-sliced:
-        `counts[j]` holds the edges whose count has bit j set, each page's
-        `blocked` set is added with a ripple carry, and the most is read
-        from the high bit down.
+        An edge's pages left are those `_rec` would try for it without
+        running `_cap_feasible`: the open disk pages 0 .. opened-1 and the
+        cross-cap page whose `blocked` bit is clear, plus the first empty
+        disk page, which every edge has alike.  So the fewest pages left
+        is the most of those pages blocking the edge.  That count is
+        bit-sliced: `counts[j]` holds the edges whose count has bit j set,
+        each page's `blocked` set is added with a ripple carry, and the
+        most is read from the high bit down.
         """
-        mask, blocked = self.mask, self.blocked
-        shut = self.disks  # the open disk pages, a prefix
-        for p in range(self.disks):
-            if not mask[p]:
-                shut = p
-                break
-        counted = blocked[:shut]
+        blocked = self.blocked
+        counted = blocked[:opened]
         if self.cap_idx >= 0:
             counted.append(blocked[self.cap_idx])
         counts = [0] * self.levels
@@ -352,11 +338,13 @@ class _Engine:
             if above:
                 most = above
                 top |= 1 << j
-        if shut == self.disks and top == len(counted):
+        if opened == self.disks and top == len(counted):
             return 0  # every page blocks this edge, and no disk page is empty
         return most & -most
 
-    def _rec(self, depth: int, unassigned: int) -> bool:
+    def _rec(self, depth: int, unassigned: int, opened: int) -> bool:
+        """Search below this node, where disk pages 0 .. opened-1 are open
+        and the rest are empty."""
         self.nodes += 1
         if depth > self.max_depth:
             self.max_depth = depth
@@ -368,17 +356,20 @@ class _Engine:
             return True
         if unassigned.bit_count() > self.slack:
             return False
-        bit = self._branch_edge(unassigned)
+        bit = self._branch_edge(unassigned, opened)
         if not bit:
             return False
         i = bit.bit_length() - 1
         rest = unassigned ^ bit
         mask, blocked, near = self.mask, self.blocked, self.near
         slack, cap_cross = self.slack, self.cap_cross
-        for p in self._pages(i):
+        cap = self.cap_idx
+        for p, below in self.tried[opened]:
+            if blocked[p] & bit or p == cap and cap_cross & bit and not self._cap_feasible(i):
+                continue
             was = mask[p], blocked[p], near[p]
             self._apply(p, i)
-            if self._rec(depth + 1, rest):
+            if self._rec(depth + 1, rest, below):
                 return True
             mask[p], blocked[p], near[p] = was
             self.slack, self.cap_cross = slack, cap_cross

@@ -153,6 +153,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 2
     assert "pages list 7 edges, more than the 6 of a graph on 4 vertices" in \
         capsys.readouterr().err
+    # A table row below K_1 would print negative bounds.
+    for spec in ("0..3", "-2..1", "0"):
+        capsys.readouterr()
+        assert main(["table", f"--n={spec}"]) == 2, spec
+        assert "K_n needs n >= 1" in capsys.readouterr().err, spec
     huge = tmp_path / "huge.txt"
     huge.write_text("1025\n1 2\n")
     assert main(["search", "--graph", str(huge), "--budget", "3"]) == 2

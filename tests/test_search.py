@@ -197,6 +197,10 @@ _PINNED_TRAVERSALS = {
     "K12/strict/b8/identity": (
         lambda: SearchProblem(complete_graph(12), 8, Profile.STRICT, order=identity_order(12)),
         "unsat", 4_636),
+    # The deepest proof in the repository.
+    "K12/strict/b9/identity": (
+        lambda: SearchProblem(complete_graph(12), 9, Profile.STRICT, order=identity_order(12)),
+        "unsat", 429_798),
     "K8/strict/b6/fixed-mains": (
         lambda: SearchProblem(complete_graph(8), 6, Profile.STRICT, order=identity_order(8),
                               fixed_pages=_main_stars(4)),
@@ -269,7 +273,9 @@ def test_engine_crosscap_rule_matches_verifier(n, shuffled):
                 continue
             for f in rest:
                 engine._apply(cap, engine.all_edges.index(f))
-            got = cap in engine._pages(engine.all_edges.index(e))
+            i = engine.all_edges.index(e)
+            got = not engine.blocked[cap] >> i & 1 and (
+                not engine.cap_cross >> i & 1 or engine._cap_feasible(i))
             engine.mask[cap], engine.blocked[cap], engine.near[cap] = empty
             engine.slack, engine.cap_cross = slack, cap_cross
             assert got == want, (chords, e)
@@ -306,10 +312,12 @@ class _CheckedEngine(_Engine):
     or the page is a disk page and j crosses one of its edges.  The
     counting bound reads only `slack`, so checking `slack` at every node
     checks the bound too.  An unassigned edge's page count is recomputed
-    with a plain loop over the pages, as `_pages` offers them but without
+    with a plain loop over the pages, as `_rec` tries them but without
     the cross-cap rule: the branched edge must have the least count, ties
     by static rank (its bit index), and a node where some edge has a
-    count of zero must be cut without a child."""
+    count of zero must be cut without a child.  The count of open disk
+    pages passed down the recursion must be the number of non-empty disk
+    pages, and those must be exactly the pages before it."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -369,8 +377,8 @@ class _CheckedEngine(_Engine):
             counts[i] = count
         return counts
 
-    def _branch_edge(self, unassigned):
-        bit = super()._branch_edge(unassigned)
+    def _branch_edge(self, unassigned, opened):
+        bit = super()._branch_edge(unassigned, opened)
         counts = self.reference_counts(unassigned)
         least = min(counts.values())
         if least == 0:
@@ -379,8 +387,10 @@ class _CheckedEngine(_Engine):
             assert bit == 1 << min(i for i, c in counts.items() if c == least)
         return bit
 
-    def _rec(self, depth, unassigned):
+    def _rec(self, depth, unassigned, opened):
         assert self.state() == self.reference_state()
+        disks = [p for p in range(self.disks) if self.mask[p]]
+        assert opened == len(disks) and disks == list(range(opened))
         placed = 0
         for p in range(self.budget):
             placed |= self.mask[p]
@@ -388,7 +398,7 @@ class _CheckedEngine(_Engine):
         dead = (unassigned and unassigned.bit_count() <= self.slack
                 and 0 in self.reference_counts(unassigned).values())
         before = self.nodes
-        found = super()._rec(depth, unassigned)
+        found = super()._rec(depth, unassigned, opened)
         if dead:
             assert not found and self.nodes == before + 1
         return found

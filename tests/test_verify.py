@@ -284,6 +284,31 @@ def test_verify_detects_missing_and_duplicate_and_foreign():
     assert len(foreign) == 1 and foreign[0].edge == (1, 4)
 
 
+@pytest.mark.parametrize("profile", list(Profile))
+def test_verify_reports_a_reversed_edge(profile):
+    """A page keeps its edges as given, so (2, 1) is not the graph edge
+    (1, 2): it is foreign, and (1, 2) is missing."""
+    layout = BookLayout(complete_graph(3), identity_order(3),
+                        (disk_page([(2, 1), (1, 3)]), disk_page([(2, 3)])))
+    rep = verify_layout(layout, profile)
+    assert [(v.kind, v.edge, v.page) for v in rep.violations] == [
+        (FOREIGN_EDGE, (2, 1), 0), (MISSING_EDGE, (1, 2), None)]
+
+
+@pytest.mark.parametrize("cap", [False, True], ids=["disk", "crosscap"])
+@pytest.mark.parametrize("profile", list(Profile))
+def test_verify_reports_a_loop(profile, cap):
+    """A loop on a page is reported, not refused: it is foreign and the
+    page is not a star forest."""
+    loop_page = (crosscap_page if cap else disk_page)([(2, 3), (3, 3)])
+    layout = BookLayout(complete_graph(3), identity_order(3),
+                        (disk_page([(1, 2), (1, 3)]), loop_page))
+    rep = verify_layout(layout, profile)
+    assert [(v.kind, v.edge, v.page) for v in rep.violations
+            if v.kind != TOO_MANY_CROSSCAPS] == [
+        (FOREIGN_EDGE, (3, 3), 1), (NOT_STAR_FOREST, (3, 3), 1)]
+
+
 def test_verify_order_and_kind_constraints():
     g = complete_graph(3)
     pages = (disk_page([(1, 2), (1, 3), (2, 3)]),)
