@@ -11,28 +11,32 @@ the relaxed profile, importing starbook from --src (default: this
 checkout's src).  Each stage's seconds are the median of REPEATS runs;
 complete_graph is cached, so only the first construct and parse build
 K_n.  It also records the certificate's size in bytes and its sha256,
-which must agree between source trees, and stores all of it in --out
-under --label with the host's core count and Python version.  Entries
-under other labels are kept, so two source trees measured one after the
-other on one host sit side by side.
+and stores all of it in --out under --label (see record.py).  The bytes
+must not depend on the source tree: a sha256 that differs from its pin
+in PINNED_SHA256 makes the script exit 1 and store nothing.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import importlib
-import json
-import os
-import platform
 import statistics
 import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import record
+
 R_VALUES = (8, 16, 32, 64, 128)
 REPEATS = 9
+# The sha256 of each relaxed_complete(r) certificate, r in R_VALUES.
+PINNED_SHA256 = {
+    "K16/relaxed": "d71ae0b0be7c36c9ae1aa3f5155356e6b92ab78774bab4da575e3c647ca65ee4",
+    "K32/relaxed": "7d62602c09046b2dca2508496dcf2dd6772d911de5d60516ead28e722f787c1e",
+    "K64/relaxed": "1f55b09be16896653583a15665126bacfbb0f8067a436967c72ebc572e9403c0",
+    "K128/relaxed": "ac60481e9d9291e4bc0faa5424d56ba78c74894bfc8c09034a1b79da4cd83d1e",
+    "K256/relaxed": "f9d2cb7e3ea747c06d88f4165fe792c270312825ec9364b7b35e0b06d15a148d",
+}
 
 
 def _timed(fn, *args):
@@ -67,28 +71,16 @@ def measure() -> dict:
         print(f"r = {r}: {len(data):,} bytes, construct {construct_s:.4f} s, "
               f"serialize {serialize_s:.4f} s, parse {parse_s:.4f} s, verify {verify_s:.4f} s",
               flush=True)
-    return {
-        "repeats": REPEATS,
-        "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
-                 "machine": platform.machine()},
-        "results": results,
-    }
+    return {"repeats": REPEATS, "results": results}
+
+
+def check(results: dict) -> list[str]:
+    return [f"{key} has sha256 {result['sha256']}, pinned {PINNED_SHA256[key]}"
+            for key, result in results.items() if result["sha256"] != PINNED_SHA256[key]]
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="the key this run is stored under")
-    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding starbook")
-    parser.add_argument("--out", default=str(ROOT / "results" / "BENCH_certs.json"))
-    args = parser.parse_args(argv)
-    sys.path.insert(0, args.src)
-    run = measure()
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc.setdefault("runs", {})[args.label] = run
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {out} [{args.label}]")
-    return 0
+    return record.main(__doc__, record.ROOT / "results" / "BENCH_certs.json", measure, check, argv)
 
 
 if __name__ == "__main__":

@@ -10,23 +10,20 @@ limit, importing starbook from --src (default: this checkout's src).
 Every one of them is UNSAT: the convex K_n needs n-1 noncrossing star
 forests (Pach, Saghafian and Schnider, GD 2023).  For each it records the
 verdict, the abort reason if a limit stopped it, the node count and the
-seconds, and stores them in --out under --label with the host's core
-count and Python version.  Entries under other labels are kept, so two source trees
-measured one after the other on one host sit side by side.
+seconds, and stores them in --out under --label (see record.py).  A SAT
+verdict contradicts the theorem, so the script then exits 1 and stores
+nothing; an abort is kept, as older source trees abort.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
-import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import record
+
 INSTANCES = ((8, 6), (10, 7), (10, 8), (12, 8), (12, 9))
 TIME_LIMIT = 120.0  # seconds per instance
 
@@ -48,29 +45,17 @@ def measure() -> dict:
         print(f"K_{n} budget {budget}: {outcome.status}"
               + (f" ({outcome.reason})" if outcome.reason else "")
               + f", {outcome.nodes:,} nodes, {seconds:.2f} s", flush=True)
-    return {
-        "engine": getattr(search, "ENGINE_VERSION", None),
-        "time_limit_s": TIME_LIMIT,
-        "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
-                 "machine": platform.machine()},
-        "results": results,
-    }
+    return {"engine": getattr(search, "ENGINE_VERSION", None), "time_limit_s": TIME_LIMIT,
+            "results": results}
+
+
+def check(results: dict) -> list[str]:
+    return [f"{key} is SAT, but GD 2023 refutes it"
+            for key, result in results.items() if result["status"] == "sat"]
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="the key this run is stored under")
-    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding starbook")
-    parser.add_argument("--out", default=str(ROOT / "results" / "BENCH_proofs.json"))
-    args = parser.parse_args(argv)
-    sys.path.insert(0, args.src)
-    run = measure()
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc.setdefault("runs", {})[args.label] = run
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {out} [{args.label}]")
-    return 0
+    return record.main(__doc__, record.ROOT / "results" / "BENCH_proofs.json", measure, check, argv)
 
 
 if __name__ == "__main__":

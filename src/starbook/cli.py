@@ -8,6 +8,8 @@ input-format error; 3 solver aborted on a resource limit.
 from __future__ import annotations
 
 import argparse
+import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -164,7 +166,7 @@ def _cmd_table(args) -> int:
     for n in ns:
         b = cons.edge_count_bounds(n, n * (n - 1) // 2)
         constructed = cons.construction_pages(n)
-        cells = []
+        lowers, uppers = [], []
         for prof in Profile:
             runs = [r for r in records
                     if r.family == "K" and r.params.get("n") == n and r.profile == prof.value]
@@ -172,14 +174,22 @@ def _cmd_table(args) -> int:
             floors = [b.sa_lower] + [r.budget + 1 for r in runs if r.outcome == "unsat"]
             if prof is Profile.STRICT:
                 floors.append(b.strict_lower)
-            lower = max(floors)
-            uppers = [r.budget for r in runs if r.outcome == "sat"]
+            lowers.append(max(floors))
+            ceilings = [r.budget for r in runs if r.outcome == "sat"]
             if prof in constructed:
-                uppers.append(constructed[prof])
-            upper = min(uppers, default=None)
+                ceilings.append(constructed[prof])
+            uppers.append(min(ceilings, default=math.inf))
+        # Profile lists strict, relaxed, saonly, and each needs no more pages
+        # than the one before it: a strict layout is a relaxed one, and every
+        # relaxed page is a star forest.  So an upper end carries down the
+        # list and a lower end up it.
+        uppers = list(itertools.accumulate(uppers, min))
+        lowers = list(itertools.accumulate(reversed(lowers), max))[::-1]
+        cells = []
+        for lower, upper in zip(lowers, uppers):
             if upper == lower:
                 cells.append(f"k*={upper}")
-            elif upper is not None and lower < upper:
+            elif lower < upper < math.inf:
                 cells.append(f"[{lower},{upper}]")
             else:
                 cells.append(f">={lower}")

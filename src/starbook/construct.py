@@ -156,9 +156,10 @@ def _star(center: int, first_leaf: int, count: int, n: int) -> list[Edge]:
 
 
 def star_pages(n: int) -> BookLayout:
-    """The n-1 single-star pages: page i holds all edges {i, j} with j > i."""
-    if n < 2:
-        raise ValueError(f"star pages need n >= 2, got {n}")
+    """The n-1 single-star pages: page i holds all edges {i, j} with j > i;
+    none for K_1."""
+    if n < 1:
+        raise ValueError(f"star pages need n >= 1, got {n}")
     pages = tuple(
         disk_page(sorted((i, j) for j in range(i + 1, n + 1)))
         for i in range(1, n)
@@ -304,16 +305,14 @@ def octahedron_pages(r: int) -> BookLayout:
 def construction_pages(n: int) -> dict[Profile, int]:
     """The page counts of the constructions' layouts of K_n, by profile.
 
-    Strict: the n-1 star pages (n >= 2).  Relaxed, and saonly, which
+    Strict: the n-1 star pages (n >= 1).  Relaxed, and saonly, which
     ignores the spine: relaxed_complete for even n and its odd_extension
     for odd n, with ceil(n/2)+1 pages (n >= 4).  A profile that no
     construction covers for this n is left out.  The counts come from
     the formulas; the tests build and verify the layouts.
     """
     check_size(n)
-    pages = {}
-    if n >= 2:
-        pages[Profile.STRICT] = n - 1
+    pages = {Profile.STRICT: n - 1}
     if n >= 4:
         pages[Profile.RELAXED] = pages[Profile.STAR_FORESTS_ONLY] = (n + 1) // 2 + 1
     return pages

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,7 +28,7 @@ class JournalRecord:
     outcome: str  # "sat" | "unsat" | "aborted"
     k_star: int | None = None
     nodes: int = 0
-    wall_time: float = 0.0
+    wall_time: float | int = 0.0  # a JSON row may carry an int
     certificate_digest: str | None = None
     extra: dict = field(default_factory=dict)
     engine: str | None = None  # search.ENGINE_VERSION of the run; None on older rows
@@ -37,22 +38,8 @@ class JournalRecord:
         return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-# JSON types of the record fields, checked on load.
-_FIELD_TYPES = {
-    "timestamp": str,
-    "family": str,
-    "params": dict,
-    "order_policy": str,
-    "profile": str,
-    "budget": int,
-    "outcome": str,
-    "k_star": (int, type(None)),
-    "nodes": int,
-    "wall_time": (int, float),
-    "certificate_digest": (str, type(None)),
-    "extra": dict,
-    "engine": (str, type(None)),
-}
+# The type of each record field, checked on load.
+_FIELD_TYPES = typing.get_type_hints(JournalRecord)
 
 
 def append_record(path, record: JournalRecord) -> None:
@@ -73,7 +60,6 @@ def load_records(path) -> list[JournalRecord]:
     lines = p.read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    names = {f.name for f in fields(JournalRecord)}
     records = []
     for i, line in enumerate(lines):
         try:
@@ -84,7 +70,7 @@ def load_records(path) -> list[JournalRecord]:
             raise ValueError(f"{path}: corrupt journal line {i + 1}")
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: journal line {i + 1} is not a JSON object")
-        known = {k: v for k, v in doc.items() if k in names}
+        known = {k: v for k, v in doc.items() if k in _FIELD_TYPES}
         for k, v in known.items():
             if isinstance(v, bool) or not isinstance(v, _FIELD_TYPES[k]):
                 raise ValueError(f"{path}: journal line {i + 1}: field {k!r} has "

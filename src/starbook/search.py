@@ -13,8 +13,9 @@ page index to the cross-cap page, which is tried last.
 
 Edge i is bit i of every edge set, numbered by static rank, so the
 lowest bit of a set is its edge of least rank.  Each chord has a bitset
-of the chords crossing it and, when there is a cross-cap page, one of
-the chords parallel to it (no shared vertex, no crossing).  Page p is
+of the chords crossing it, and each vertex one of the edges at it; the
+chords parallel to chord j (no shared vertex, no crossing) are those in
+neither j's crossing set nor the sets at its two ends.  Page p is
 kept as `mask[p]`, the bitset of its edges; `blocked[p]`, the edges it
 cannot take; and `near[p]`, the edges at some vertex it touches.  A
 page blocks an edge whose ends it both touches and an edge at a leaf (a
@@ -96,6 +97,10 @@ class SearchProblem:
                              f"of {MAX_SEARCH_VERTICES}")
         if self.budget < 1:
             raise ValueError("page budget must be at least 1")
+        if self.node_limit < 0:
+            raise ValueError(f"node limit must be at least 0, got {self.node_limit}")
+        if not self.time_limit >= 0:  # NaN too
+            raise ValueError(f"time limit must be at least 0 seconds, got {self.time_limit}")
         relaxed = self.profile is Profile.RELAXED
         if self.crosscap_allowed is None:
             object.__setattr__(self, "crosscap_allowed", relaxed)
@@ -163,44 +168,23 @@ class _Engine:
         fixed = {e for page in problem.fixed_pages for e in page}
         edges = sorted(problem.graph.edges)
         m = len(edges)
-        # conflict[i]: the chords crossing chord i.  parallel[i], built only
-        # when there is a cross-cap page: the chords that share no vertex
-        # with chord i and do not cross it.  Both are first built over the
-        # sorted edge list, then renumbered by static rank.
-        conflict = [0] * m
-        parallel = [0] * m
+        # crosses[i]: the indices in `edges` of the chords crossing chord i.
+        crosses = [[] for _ in range(m)]
         if self.geometric:
-            for i in range(m):
-                for j in range(i + 1, m):
-                    e, f = edges[i], edges[j]
-                    if interleaves(order, e, f):
-                        conflict[i] |= 1 << j
-                        conflict[j] |= 1 << i
-                    elif self.cap_idx >= 0 and not set(e) & set(f):
-                        parallel[i] |= 1 << j
-                        parallel[j] |= 1 << i
+            for (i, e), (j, f) in itertools.combinations(enumerate(edges), 2):
+                if interleaves(order, e, f):
+                    crosses[i].append(j)
+                    crosses[j].append(i)
         # Static rank: the assignable edges, most crossings with other
         # assignable edges first, ties by the sorted list; the fixed edges
-        # last.  Edge i is bit i of every edge set from here on, so the
-        # lowest bit of a set is its edge of least rank.
-        free = sum(1 << i for i, e in enumerate(edges) if e not in fixed)
+        # last.  Edge i is bit i of every edge set, so the lowest bit of a
+        # set is its edge of least rank.
         rank = sorted(range(m), key=lambda i: (
-            edges[i] in fixed, -(conflict[i] & free).bit_count(), i))
-        bit_of = [0] * m
-        for r, i in enumerate(rank):
-            bit_of[i] = 1 << r
-
-        def renumber(mask: int) -> int:
-            out = 0
-            while mask:
-                low = mask & -mask
-                out |= bit_of[low.bit_length() - 1]
-                mask ^= low
-            return out
-
+            edges[i] in fixed, -sum(edges[j] not in fixed for j in crosses[i]), i))
+        place = {i: r for r, i in enumerate(rank)}  # the rank of edges[i]
         self.all_edges = [edges[i] for i in rank]
-        self.conflict = [renumber(conflict[i]) for i in rank]
-        self.parallel = [renumber(parallel[i]) for i in rank]
+        # conflict[i]: the chords crossing chord i.
+        self.conflict = [sum(1 << place[j] for j in crosses[i]) for i in rank]
         self.unassigned = (1 << (m - len(fixed))) - 1  # the edges the search assigns
         # inc[v] holds the edges at vertex v.
         self.inc = inc = [0] * (self.n + 1)
@@ -242,6 +226,8 @@ class _Engine:
     def _cap_feasible(self, i: int) -> bool:
         """The pairwise rule of `verify` on the cross-cap page plus chord i:
         no two chords that cross some chord of the page may be parallel.
+        A chord is parallel to chord j (u, v) when it is in none of
+        `conflict[j]`, `inc[u]` and `inc[v]`.
 
         Each distinct rejected page is confirmed by `crosscap_page_valid`,
         so an UNSAT verdict rests only on disk conflicts and on the
@@ -251,11 +237,13 @@ class _Engine:
         cap = self.cap_idx
         mask = self.mask[cap] | 1 << i
         flagged = (self.cap_cross | self.conflict[i]) & mask
-        parallel = self.parallel
+        conflict, inc, edges = self.conflict, self.inc, self.all_edges
         rest = flagged
         while rest:
             low = rest & -rest
-            if parallel[low.bit_length() - 1] & flagged:
+            j = low.bit_length() - 1
+            u, v = edges[j]
+            if flagged & ~(conflict[j] | inc[u] | inc[v]):  # a chord parallel to chord j
                 break
             rest ^= low
         else:

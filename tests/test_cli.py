@@ -158,6 +158,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         capsys.readouterr()
         assert main(["table", f"--n={spec}"]) == 2, spec
         assert "K_n needs n >= 1" in capsys.readouterr().err, spec
+    # A negative or NaN search limit; none is journalled.
+    for limit in (["--time-limit", "-1"], ["--time-limit", "nan"], ["--node-limit", "-5"]):
+        capsys.readouterr()
+        assert main(["search", "--n", "8", "--budget", "7", *limit,
+                     "--journal", str(tmp_path / "limits.jsonl")]) == 2, limit
+        assert "limit must be at least 0" in capsys.readouterr().err, limit
+    assert not (tmp_path / "limits.jsonl").exists()
     huge = tmp_path / "huge.txt"
     huge.write_text("1025\n1 2\n")
     assert main(["search", "--graph", str(huge), "--budget", "3"]) == 2
@@ -237,6 +244,15 @@ def test_table_command(tmp_path, capsys):
     row6 = next(line for line in lines if line.startswith("6"))
     assert row6.split()[:4] == ["6", "4", "3", "5"]
     assert "k*=4" in row6
+
+
+def test_table_carries_bounds_across_profiles(tmp_path, capsys):
+    # Strict >= relaxed >= saonly, so the n - 1 star pages close every
+    # column for n <= 3, where no relaxed construction exists; K_1 has no
+    # edges and needs no page.
+    assert main(["table", "--n", "1..3", "--journal", str(tmp_path / "j.jsonl")]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [row[4:] for row in rows] == [[f"k*={n - 1}"] * 3 for n in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("argv", [

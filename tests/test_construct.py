@@ -206,9 +206,7 @@ def test_strict_complete_r4_reports_why_it_has_no_witness():
 @pytest.mark.parametrize("n", range(1, 14))
 def test_construction_pages_count_the_constructions(n):
     """The page counts `table` reads are those of the verified layouts."""
-    built = {}
-    if n >= 2:
-        built[Profile.STRICT] = star_pages(n)
+    built = {Profile.STRICT: star_pages(n)}
     if n >= 4:
         relaxed = odd_extension(relaxed_complete(n // 2)) if n % 2 else relaxed_complete(n // 2)
         built[Profile.RELAXED] = built[Profile.STAR_FORESTS_ONLY] = relaxed

@@ -59,6 +59,13 @@ def test_problem_invariants():
     assert SearchProblem(complete_graph(64), 3, Profile.STRICT).graph.n == 64
     with pytest.raises(ValueError, match="search limit of 64"):
         SearchProblem(complete_graph(65), 3, Profile.STRICT)
+    # Limits: zero and infinity are limits; a negative or NaN one is refused.
+    for limits in ({"node_limit": 0}, {"time_limit": 0.0}, {"time_limit": math.inf}):
+        SearchProblem(g, 3, Profile.STRICT, **limits)
+    for limits, message in (({"node_limit": -5}, "node limit"), ({"time_limit": -1.0}, "time limit"),
+                            ({"time_limit": math.nan}, "time limit")):
+        with pytest.raises(ValueError, match=message):
+            SearchProblem(g, 3, Profile.STRICT, **limits)
     # A fixed page goes through the engine's own page test.
     with pytest.raises(ValueError, match="fixed page 0"):
         solve(SearchProblem(g, 2, Profile.STRICT, order=identity_order(4),
@@ -317,7 +324,9 @@ class _CheckedEngine(_Engine):
     by static rank (its bit index), and a node where some edge has a
     count of zero must be cut without a child.  The count of open disk
     pages passed down the recursion must be the number of non-empty disk
-    pages, and those must be exactly the pages before it."""
+    pages, and those must be exactly the pages before it.  The build is
+    checked once: the static rank, and each chord's `conflict` set
+    against the chords `segments_cross` finds crossing it."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -330,6 +339,9 @@ class _CheckedEngine(_Engine):
 
         assert free == sorted(free, key=lambda e: (-crossings(e), e))  # the static rank
         assert self.all_edges[:len(free)] == free
+        for e, conflict in zip(self.all_edges, self.conflict):  # in rank numbering
+            assert conflict == sum(1 << j for j, f in enumerate(self.all_edges)
+                                   if self.geometric and segments_cross(self.order, e, f))
 
     def state(self):
         return list(self.mask), list(self.blocked), list(self.near), self.slack, self.cap_cross
