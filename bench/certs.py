@@ -74,9 +74,9 @@ def measure() -> dict:
     return {"repeats": REPEATS, "results": results}
 
 
-def check(results: dict) -> list[str]:
+def check(run: dict) -> list[str]:
     return [f"{key} has sha256 {result['sha256']}, pinned {PINNED_SHA256[key]}"
-            for key, result in results.items() if result["sha256"] != PINNED_SHA256[key]]
+            for key, result in run["results"].items() if result["sha256"] != PINNED_SHA256[key]]
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,10 @@ forests (Pach, Saghafian and Schnider, GD 2023).  For each it records the
 verdict, the abort reason if a limit stopped it, the node count and the
 seconds, and stores them in --out under --label (see record.py).  A SAT
 verdict contradicts the theorem, so the script then exits 1 and stores
-nothing; an abort is kept, as older source trees abort.
+nothing; an abort is kept, as older source trees abort.  Node counts are
+deterministic: a run of the PINNED_ENGINE version whose counts differ
+from PINNED_NODES is refused the same way, while other engine versions
+(older trees under --src) are stored unchecked.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ import record
 
 INSTANCES = ((8, 6), (10, 7), (10, 8), (12, 8), (12, 9))
 TIME_LIMIT = 120.0  # seconds per instance
+# The node count of each instance under the engine version that fixes them.
+PINNED_ENGINE = "fail-first/1"
+PINNED_NODES = {"K8/strict/b6": 1_890, "K10/strict/b7": 3_049, "K10/strict/b8": 230_822,
+                "K12/strict/b8": 4_636, "K12/strict/b9": 429_798}
 
 
 def measure() -> dict:
@@ -49,9 +56,15 @@ def measure() -> dict:
             "results": results}
 
 
-def check(results: dict) -> list[str]:
-    return [f"{key} is SAT, but GD 2023 refutes it"
-            for key, result in results.items() if result["status"] == "sat"]
+def check(run: dict) -> list[str]:
+    results = run["results"]
+    errors = [f"{key} is SAT, but GD 2023 refutes it"
+              for key, result in results.items() if result["status"] == "sat"]
+    if run["engine"] == PINNED_ENGINE:
+        errors += [f"{key} took {result['nodes']:,} nodes, but {PINNED_ENGINE} takes "
+                   f"{PINNED_NODES[key]:,}"
+                   for key, result in results.items() if result["nodes"] != PINNED_NODES[key]]
+    return errors
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,7 @@
 
 Each script passes its docstring, its default output file, its `measure`
 (which imports starbook from --src and returns a run with a "results"
-dict) and its `check` (which lists what is wrong with those results).
+dict) and its `check` (which lists what is wrong with that run).
 A run with any error is printed and not stored: the script exits 1 and
 leaves --out as it was.  Otherwise the run, with the host's core count
 and Python version, is stored in --out under --label; entries under
@@ -30,7 +30,7 @@ def main(docstring: str, out: Path, measure, check, argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     run = measure()
-    errors = check(run["results"])
+    errors = check(run)
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if errors:

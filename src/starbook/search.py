@@ -13,7 +13,8 @@ page index to the cross-cap page, which is tried last.
 
 Edge i is bit i of every edge set, numbered by static rank, so the
 lowest bit of a set is its edge of least rank.  Each chord has a bitset
-of the chords crossing it, and each vertex one of the edges at it; the
+of the chords crossing it, built by one sweep over the spine positions
+(see `_crossings`), and each vertex one of the edges at it; the
 chords parallel to chord j (no shared vertex, no crossing) are those in
 neither j's crossing set nor the sets at its two ends.  Page p is
 kept as `mask[p]`, the bitset of its edges; `blocked[p]`, the edges it
@@ -26,9 +27,10 @@ keeps those chords apart instead, as `cap_cross`.  One running integer,
 minus the empty pages, is the most edges the pages can still take.
 Putting an edge on a page updates all of these in a few bitset
 operations; every page set only grows, so each search frame saves the
-page's values, `slack` and `cap_cross` and puts them back.  Whether
-page p can take edge i is then the one bit test `blocked[p]`, except on
-the cross-cap page when chord i is in `cap_cross`: there the engine
+page's values, `slack`, `cap_cross` and `counts` (below) and puts them
+back.  Whether page p can take edge i is then the one bit test
+`blocked[p]`, except on the cross-cap page when chord i is in
+`cap_cross`: there the engine
 applies `verify`'s pairwise rule to its flagged chords (those crossing
 some chord of the page), and `verify.crosscap_page_valid` must confirm
 every rejection; the engine remembers the pages it has confirmed, so
@@ -36,8 +38,11 @@ each is confirmed once.
 
 An edge's page count is read from the `blocked` bits alone: the open
 disk pages and the cross-cap page that do not block it, plus the first
-empty disk page.  It is kept bit-sliced over the unassigned edges, so
-finding the least count takes a few bitset operations per page.
+empty disk page.  So the engine keeps, for every edge, the number of
+pages blocking it, bit-sliced into `counts` (one bitset per bit of a
+count).  Putting an edge on a page adds the edges it newly blocks with
+a ripple carry, and finding the least page count over the unassigned
+edges reads the slices once, from the high bit down.
 
 Pruning: a counting bound from the fact that distinct stars of a star
 forest can never merge (a page with c star components holds at most
@@ -64,7 +69,6 @@ from .model import (
     PageKind,
     SimpleGraph,
     identity_order,
-    interleaves,
 )
 from .verify import Profile, crosscap_page_valid, verify_layout
 
@@ -148,6 +152,44 @@ class _Abort(Exception):
         self.reason = reason
 
 
+def _crossings(order: CircularOrder, edges: list[Edge]) -> list[int]:
+    """crossings[i]: the bitset of the edges crossing edge i, edge j as
+    bit j.
+
+    Number the spine positions 0 .. n-1 from the order's first vertex.  A
+    chord whose ends sit at positions a < b crosses exactly the edges
+    with one end strictly between a and b and the other strictly outside
+    [a, b]; an edge sharing an end with it has that end at a or b, so it
+    is neither.  So each chord's set is the edges at some position
+    inside it and at some position outside it.  The outside is read from
+    prefix and suffix ORs of the edges at each position, and the inside
+    is grown by one sweep over the chords with left end a in order of b.
+    """
+    pos = {v: x for x, v in enumerate(order)}
+    n = len(pos)
+    at = [0] * n  # at[x]: the edges with an end at position x
+    chords = [[] for _ in range(n)]  # chords[a]: (b, i) for each edge i at a < b
+    for i, (u, v) in enumerate(edges):
+        a, b = sorted((pos[u], pos[v]))
+        at[a] |= 1 << i
+        at[b] |= 1 << i
+        chords[a].append((b, i))
+    before = [0] * (n + 1)  # before[x]: the edges at some position < x
+    after = [0] * (n + 1)  # after[x]: the edges at some position >= x
+    for x in range(n):
+        before[x + 1] = before[x] | at[x]
+        after[n - 1 - x] = after[n - x] | at[n - 1 - x]
+    crossings = [0] * len(edges)
+    for a in range(n):
+        inside, x = 0, a + 1
+        for b, i in sorted(chords[a]):
+            while x < b:
+                inside |= at[x]
+                x += 1
+            crossings[i] = inside & (before[a] | after[b + 1])
+    return crossings
+
+
 class _Engine:
     """Backtracking core for one fixed spine order."""
 
@@ -168,23 +210,17 @@ class _Engine:
         fixed = {e for page in problem.fixed_pages for e in page}
         edges = sorted(problem.graph.edges)
         m = len(edges)
-        # crosses[i]: the indices in `edges` of the chords crossing chord i.
-        crosses = [[] for _ in range(m)]
-        if self.geometric:
-            for (i, e), (j, f) in itertools.combinations(enumerate(edges), 2):
-                if interleaves(order, e, f):
-                    crosses[i].append(j)
-                    crosses[j].append(i)
         # Static rank: the assignable edges, most crossings with other
         # assignable edges first, ties by the sorted list; the fixed edges
         # last.  Edge i is bit i of every edge set, so the lowest bit of a
         # set is its edge of least rank.
+        free = sum(1 << i for i, e in enumerate(edges) if e not in fixed)
+        crosses = _crossings(order, edges) if self.geometric else [0] * m
         rank = sorted(range(m), key=lambda i: (
-            edges[i] in fixed, -sum(edges[j] not in fixed for j in crosses[i]), i))
-        place = {i: r for r, i in enumerate(rank)}  # the rank of edges[i]
+            edges[i] in fixed, -(crosses[i] & free).bit_count(), i))
         self.all_edges = [edges[i] for i in rank]
         # conflict[i]: the chords crossing chord i.
-        self.conflict = [sum(1 << place[j] for j in crosses[i]) for i in rank]
+        self.conflict = _crossings(order, self.all_edges) if self.geometric else [0] * m
         self.unassigned = (1 << (m - len(fixed))) - 1  # the edges the search assigns
         # inc[v] holds the edges at vertex v.
         self.inc = inc = [0] * (self.n + 1)
@@ -198,7 +234,9 @@ class _Engine:
         self.near = [0] * b  # the edges at some vertex that the page touches
         self.slack = b * (self.n - 1)  # untouched vertices over all pages - empty pages
         self.cap_cross = 0  # the chords crossing some edge of the cross-cap page
-        self.levels = b.bit_length()  # bits of a count of pages (see _branch_edge)
+        # counts[j]: the edges whose count of pages blocking them has bit j
+        # set (see _branch_edge); a count is at most b.
+        self.counts = [0] * b.bit_length()
         self.rejected: set[int] = set()  # cap pages the verifier has rejected
         # tried[k]: the pages tried when disk pages 0 .. k-1 are open, in
         # order (those, the first empty disk page if any, the cross-cap
@@ -262,12 +300,14 @@ class _Engine:
         A page blocks an edge whose ends it both touches, and an edge at
         a leaf: a vertex whose one page edge goes to a centre with two or
         more.  A disk page also blocks the chords crossing its edges; on
-        the cross-cap page they go to `cap_cross`.
+        the cross-cap page they go to `cap_cross`.  The edges the page
+        newly blocks are added to `counts` with a ripple carry, into a
+        new list, so that `_rec` undoes it by putting the old list back.
         """
         u, v = self.all_edges[i]
         inc = self.inc
         mask = self.mask[p]
-        blocked = self.blocked[p]
+        old = blocked = self.blocked[p]
         at = mask & (inc[u] | inc[v])  # the page edges at u or v, all at one end
         if not at:  # a new lone edge
             ends = inc[u] | inc[v]
@@ -288,46 +328,44 @@ class _Engine:
             blocked |= self.conflict[i]
         self.blocked[p] = blocked
         self.mask[p] = mask | 1 << i
+        counts = self.counts[:]
+        carry = blocked ^ old
+        j = 0
+        while carry:
+            c = counts[j]
+            counts[j] = c ^ carry
+            carry &= c
+            j += 1
+        self.counts = counts
 
     # search -------------------------------------------------------------
 
     def run(self) -> bool:
         return self._rec(0, self.unassigned, len(self.problem.fixed_pages))
 
-    def _branch_edge(self, unassigned: int, opened: int) -> int:
+    def _branch_edge(self, unassigned: int) -> int:
         """The bit of the unassigned edge with the fewest pages left, ties
         by static rank, or 0 when some edge has no page left.
 
         An edge's pages left are those `_rec` would try for it without
-        running `_cap_feasible`: the open disk pages 0 .. opened-1 and the
-        cross-cap page whose `blocked` bit is clear, plus the first empty
-        disk page, which every edge has alike.  So the fewest pages left
-        is the most of those pages blocking the edge.  That count is
-        bit-sliced: `counts[j]` holds the edges whose count has bit j set,
-        each page's `blocked` set is added with a ripple carry, and the
-        most is read from the high bit down.
+        running `_cap_feasible`: the open disk pages and the cross-cap
+        page whose `blocked` bit is clear, plus the first empty disk
+        page, which every edge has alike.  An empty page blocks nothing,
+        so the fewest pages left is the most pages blocking the edge,
+        which `_apply` keeps bit-sliced in `counts`; the most is read from
+        the high bit down.  An edge that all the pages block has no page
+        left, since no disk page is then empty.
         """
-        blocked = self.blocked
-        counted = blocked[:opened]
-        if self.cap_idx >= 0:
-            counted.append(blocked[self.cap_idx])
-        counts = [0] * self.levels
-        for carry in counted:
-            j = 0
-            while carry:
-                c = counts[j]
-                counts[j] = c ^ carry
-                carry &= c
-                j += 1
+        counts = self.counts
         most = unassigned
         top = 0
-        for j in range(self.levels - 1, -1, -1):
+        for j in range(len(counts) - 1, -1, -1):
             above = most & counts[j]
             if above:
                 most = above
                 top |= 1 << j
-        if opened == self.disks and top == len(counted):
-            return 0  # every page blocks this edge, and no disk page is empty
+        if top == self.budget:
+            return 0  # every page blocks this edge, so no disk page is empty
         return most & -most
 
     def _rec(self, depth: int, unassigned: int, opened: int) -> bool:
@@ -344,13 +382,13 @@ class _Engine:
             return True
         if unassigned.bit_count() > self.slack:
             return False
-        bit = self._branch_edge(unassigned, opened)
+        bit = self._branch_edge(unassigned)
         if not bit:
             return False
         i = bit.bit_length() - 1
         rest = unassigned ^ bit
         mask, blocked, near = self.mask, self.blocked, self.near
-        slack, cap_cross = self.slack, self.cap_cross
+        slack, cap_cross, counts = self.slack, self.cap_cross, self.counts
         cap = self.cap_idx
         for p, below in self.tried[opened]:
             if blocked[p] & bit or p == cap and cap_cross & bit and not self._cap_feasible(i):
@@ -360,7 +398,7 @@ class _Engine:
             if self._rec(depth + 1, rest, below):
                 return True
             mask[p], blocked[p], near[p] = was
-            self.slack, self.cap_cross = slack, cap_cross
+            self.slack, self.cap_cross, self.counts = slack, cap_cross, counts
         return False
 
     def extract_layout(self) -> BookLayout:

@@ -1,6 +1,7 @@
 """The bench scripts store a run only when it agrees with what they pin:
 bench/proofs.py refuses a SAT verdict (GD 2023 refutes every budget it
-runs) and bench/certs.py a certificate digest that differs from its pin.
+runs) and, for the engine version it pins, a changed node count, and
+bench/certs.py a certificate digest that differs from its pin.
 Each script's `measure` is replaced, so no search or timing runs here."""
 
 import importlib.util
@@ -31,8 +32,8 @@ def _cert_results(certs, sha256):
     return results
 
 
-def _run(monkeypatch, script, results, out):
-    monkeypatch.setattr(script, "measure", lambda: {"results": results})
+def _run(monkeypatch, script, results, out, engine=None):
+    monkeypatch.setattr(script, "measure", lambda: {"engine": engine, "results": results})
     return script.main(["--label", "new", "--out", str(out)])
 
 
@@ -49,6 +50,24 @@ def test_proofs_refuses_a_sat_verdict(monkeypatch, tmp_path, capsys, status, cod
         runs = json.loads(out.read_text())["runs"]
         assert sorted(runs) == ["new", "old"] and runs["new"]["results"] == _proof_results(status)
         assert runs["new"]["host"]["cpu_count"] >= 1
+
+
+def test_proofs_pins_the_node_counts_of_its_engine(monkeypatch, tmp_path, capsys):
+    """A run of the pinned engine version must take the pinned node counts;
+    a run of another version, as an older tree under --src, is stored
+    unchecked."""
+    proofs = _script(monkeypatch, "proofs")
+    out = tmp_path / "BENCH_proofs.json"
+    results = {key: {"status": "unsat", "reason": None, "nodes": nodes, "seconds": 0.01}
+               for key, nodes in proofs.PINNED_NODES.items()}
+    assert _run(monkeypatch, proofs, results, out, proofs.PINNED_ENGINE) == 0
+    results["K10/strict/b8"]["nodes"] += 1
+    assert _run(monkeypatch, proofs, results, out, "static-order") == 0
+    stored = out.read_text()
+    assert _run(monkeypatch, proofs, results, out, proofs.PINNED_ENGINE) == 1
+    assert "K10/strict/b8 took 230,823 nodes, but fail-first/1 takes 230,822" in (
+        capsys.readouterr().err)
+    assert out.read_text() == stored
 
 
 def test_certs_refuses_a_changed_digest(monkeypatch, tmp_path, capsys):
@@ -68,4 +87,4 @@ def test_committed_bench_runs_pass_their_checks(monkeypatch):
         script = _script(monkeypatch, name)
         doc = json.loads((ROOT / "results" / f"BENCH_{name}.json").read_text())
         for label, run in doc["runs"].items():
-            assert script.check(run["results"]) == [], (name, label)
+            assert script.check(run) == [], (name, label)

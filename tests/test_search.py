@@ -16,6 +16,7 @@ from starbook import (
     edge,
     exact_value,
     identity_order,
+    interleaves,
     minus_edge,
     octahedron,
     octahedron_pages,
@@ -270,7 +271,7 @@ def test_engine_crosscap_rule_matches_verifier(n, shuffled):
     engine = _Engine(problem, order, node_budget=0, deadline=0.0)
     cap = engine.cap_idx
     empty = engine.mask[cap], engine.blocked[cap], engine.near[cap]
-    slack, cap_cross = engine.slack, engine.cap_cross
+    slack, cap_cross, counts = engine.slack, engine.cap_cross, engine.counts
     seen = set()
     for chords in star_forest_edge_sets(n):
         want = crosscap_page_valid(order, crosscap_page(chords))[0]
@@ -284,7 +285,7 @@ def test_engine_crosscap_rule_matches_verifier(n, shuffled):
             got = not engine.blocked[cap] >> i & 1 and (
                 not engine.cap_cross >> i & 1 or engine._cap_feasible(i))
             engine.mask[cap], engine.blocked[cap], engine.near[cap] = empty
-            engine.slack, engine.cap_cross = slack, cap_cross
+            engine.slack, engine.cap_cross, engine.counts = slack, cap_cross, counts
             assert got == want, (chords, e)
             seen.add(got)
     assert seen == {True, False}
@@ -309,6 +310,28 @@ def test_engine_confirms_each_crosscap_rejection(monkeypatch):
     assert len({page.edge_set for page in pages}) == len(pages)
 
 
+@st.composite
+def _numbered_chords(draw):
+    """A graph on 0..16 vertices, complete or a random subgraph, on a
+    random spine order, with its edges sorted or shuffled."""
+    n = draw(st.integers(0, 16))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    if len(pairs) > 1 and not draw(st.booleans()):
+        pairs = draw(st.lists(st.sampled_from(pairs), unique=True))
+    edges = draw(st.permutations(pairs)) if draw(st.booleans()) else sorted(pairs)
+    return CircularOrder(tuple(draw(st.permutations(range(1, n + 1))))), edges
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_numbered_chords())
+def test_crossings_match_pairwise_interleaves(instance):
+    """The engine's position sweep finds, for each chord, the chords that
+    `model.interleaves` says cross it, in the numbering it is given."""
+    order, edges = instance
+    assert search._crossings(order, edges) == [
+        sum(1 << j for j, f in enumerate(edges) if interleaves(order, e, f)) for e in edges]
+
+
 class _CheckedEngine(_Engine):
     """An engine that, at every node, recomputes its page state and its
     branching choice from the page edge sets and compares them with what
@@ -318,7 +341,9 @@ class _CheckedEngine(_Engine):
     blocked iff it is on the page, the page plus j is not a star forest,
     or the page is a disk page and j crosses one of its edges.  The
     counting bound reads only `slack`, so checking `slack` at every node
-    checks the bound too.  An unassigned edge's page count is recomputed
+    checks the bound too.  The bit-sliced `counts` are recomputed from
+    each edge's count of pages whose recomputed blocked set holds it.
+    An unassigned edge's page count is recomputed
     with a plain loop over the pages, as `_rec` tries them but without
     the cross-cap rule: the branched edge must have the least count, ties
     by static rank (its bit index), and a node where some edge has a
@@ -344,7 +369,8 @@ class _CheckedEngine(_Engine):
                                    if self.geometric and segments_cross(self.order, e, f))
 
     def state(self):
-        return list(self.mask), list(self.blocked), list(self.near), self.slack, self.cap_cross
+        return (list(self.mask), list(self.blocked), list(self.near), self.slack, self.cap_cross,
+                list(self.counts))
 
     def reference_page(self, p):
         """cross, blocked, near and the untouched vertex count of page p."""
@@ -370,7 +396,12 @@ class _CheckedEngine(_Engine):
         cross, blocked, near, free = zip(*(self.reference_page(p) for p in range(self.budget)))
         slack = sum(free) - self.mask.count(0)
         cap_cross = cross[self.cap_idx] if self.cap_idx >= 0 else 0
-        return list(self.mask), list(blocked), list(near), slack, cap_cross
+        counts = [0] * len(self.counts)
+        for i in range(len(self.all_edges)):
+            count = sum(page >> i & 1 for page in blocked)
+            for j in range(len(counts)):
+                counts[j] |= (count >> j & 1) << i
+        return list(self.mask), list(blocked), list(near), slack, cap_cross, counts
 
     def reference_counts(self, unassigned):
         """Edge index -> its page count, for each unassigned edge."""
@@ -389,8 +420,8 @@ class _CheckedEngine(_Engine):
             counts[i] = count
         return counts
 
-    def _branch_edge(self, unassigned, opened):
-        bit = super()._branch_edge(unassigned, opened)
+    def _branch_edge(self, unassigned):
+        bit = super()._branch_edge(unassigned)
         counts = self.reference_counts(unassigned)
         least = min(counts.values())
         if least == 0:
