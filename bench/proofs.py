@@ -30,7 +30,7 @@ import record
 INSTANCES = ((8, 6), (10, 7), (10, 8), (12, 8), (12, 9))
 TIME_LIMIT = 120.0  # seconds per instance
 # The node count of each instance under the engine version that fixes them.
-PINNED_ENGINE = "fail-first/1"
+PINNED_ENGINE = "fail-first/2"
 PINNED_NODES = {"K8/strict/b6": 1_890, "K10/strict/b7": 3_049, "K10/strict/b8": 230_822,
                 "K12/strict/b8": 4_636, "K12/strict/b9": 429_798}
 

@@ -51,6 +51,14 @@ cut; and a node where some unassigned edge has a page count of zero is
 cut.  Both only cut nodes below which no witness exists, and the
 branching choice only reorders the tree, so the search stays complete.
 
+With `optimize_order` the search runs one engine per class of spine
+orders that an automorphism of the graph maps onto each other (see
+`distinct_orders`): K_n has one class, K_6 minus an edge three.  An
+automorphism carrying one order onto another carries every layout with
+it, so a class shares one verdict; and the first SAT order in
+`canonical_orders` leads its class, so the witness is the one that
+searching every order would find.
+
 The search is sequential and deterministic, so certificates are
 byte-identical across runs.
 """
@@ -72,9 +80,10 @@ from .model import (
 )
 from .verify import Profile, crosscap_page_valid, verify_layout
 
-# Names the branching rule, pruning and page order, which fix every node
-# count; journal records carry it.  Change it whenever a node count moves.
-ENGINE_VERSION = "fail-first/1"
+# Names the branching rule, pruning, page order and the spine orders that
+# optimize_order searches, which fix every node count; journal records
+# carry it.  Change it whenever a node count moves.
+ENGINE_VERSION = "fail-first/2"
 DEFAULT_NODE_LIMIT = 10**9
 DEFAULT_TIME_LIMIT = 600.0
 # The engine's build grows about as n^4 and its crossing table as m^2; an
@@ -425,13 +434,46 @@ def canonical_orders(n: int):
         yield CircularOrder((1,) + p)
 
 
+def distinct_orders(graph: SimpleGraph):
+    """The canonical orders of the graph's vertices, one per class of
+    orders that an automorphism of the graph maps onto each other: the
+    first of each class in `canonical_orders`.
+
+    An order's drawing is the set of position pairs {pos(u), pos(v)}
+    over the graph's edges, kept as a bitmask with bit a*n + b for a < b.
+    If order s's drawing is g of order t's for a rotation or reflection g
+    of the positions, the map sending the vertex at position x in t to
+    the one at g(x) in s takes edges to edges, so it is an automorphism,
+    and it carries every layout on t onto one on s with the same
+    crossings; conversely, such an automorphism makes the drawings equal
+    up to g.  So an order is skipped when its drawing is one of the 2n
+    images of an earlier yielded order's drawing.
+    """
+    n = graph.n
+    bit = [[1 << (min(a, b) * n + max(a, b)) for b in range(n)] for a in range(n)]
+    images = [[(s * x + r) % n for x in range(n)] for r in range(n) for s in (1, -1)]
+    seen: set[int] = set()
+    for order in canonical_orders(n):
+        pos = {v: x for x, v in enumerate(order)}
+        pairs = [(pos[u], pos[v]) for u, v in graph.edges]
+        if sum(bit[a][b] for a, b in pairs) in seen:
+            continue
+        for g in images:
+            seen.add(sum(bit[g[a]][g[b]] for a, b in pairs))
+        yield order
+
+
 def solve(problem: SearchProblem) -> SearchOutcome:
     """Complete search for a layout within the page budget.
 
     Returns a verified Satisfiable certificate, an exhaustion proof with
     node statistics, or an Aborted outcome when a limit is hit (never a
-    wrong verdict).  With optimize_order the search runs over all
-    canonical spine orders and is satisfiable iff any order is.
+    wrong verdict).  With optimize_order the search runs over the
+    canonical spine orders, one per automorphism class
+    (`distinct_orders`), and is satisfiable iff any order is: the orders
+    of a class share a verdict, since an automorphism carries layouts on
+    one onto the other, and the first SAT order of `canonical_orders`
+    leads its class, so the certificate is the same as over every order.
     """
     start = time.monotonic()
     deadline = start + problem.time_limit
@@ -439,7 +481,7 @@ def solve(problem: SearchProblem) -> SearchOutcome:
     max_depth = 0
 
     if problem.optimize_order:
-        orders = canonical_orders(problem.graph.n)
+        orders = distinct_orders(problem.graph)
     elif problem.order is not None:
         orders = [problem.order]
     else:

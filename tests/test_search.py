@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from pathlib import Path
@@ -24,11 +25,11 @@ from starbook import (
     verify_layout,
 )
 from starbook import search
-from starbook.certs import certificate_digest
+from starbook.certs import certificate_digest, serialize_layout
 from starbook.construct import family_graph
 from starbook.journal import load_records
 from starbook.model import crosscap_page
-from starbook.search import _Engine, canonical_orders
+from starbook.search import _Engine, canonical_orders, distinct_orders
 from starbook.verify import crosscap_page_valid
 from conftest import all_k5_subsets, brute_star_forest, segments_cross, star_forest_edge_sets
 
@@ -200,7 +201,7 @@ _PINNED_TRAVERSALS = {
         "unsat", 273),
     "K6/strict/b4/all-orders": (
         lambda: SearchProblem(complete_graph(6), 4, Profile.STRICT, optimize_order=True),
-        "unsat", 4_171),
+        "unsat", 73),
     # Criterion 4's r = 6; K_8 b6 and K_10 b7, b8 are journal rows.
     "K12/strict/b8/identity": (
         lambda: SearchProblem(complete_graph(12), 8, Profile.STRICT, order=identity_order(12)),
@@ -453,7 +454,7 @@ class _CheckedEngine(_Engine):
 def test_incremental_page_state_matches_recomputation(case):
     make, status, nodes = _PINNED_TRAVERSALS[case]
     problem = make()
-    orders = canonical_orders(problem.graph.n) if problem.optimize_order else [
+    orders = distinct_orders(problem.graph) if problem.optimize_order else [
         problem.order or identity_order(problem.graph.n)]
     found, total = False, 0
     for order in orders:
@@ -627,6 +628,82 @@ def test_canonical_orders_count():
     assert len(list(canonical_orders(6))) == 60
     with pytest.raises(ValueError):
         list(canonical_orders(10))
+
+
+def _random_graph(rng, n, dense=False):
+    """A random graph on n vertices; a dense one keeps at least half the pairs."""
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    fewest = len(pairs) // 2 if dense else 0
+    return SimpleGraph(n, frozenset(rng.sample(pairs, rng.randint(fewest, len(pairs)))))
+
+
+def _class_leaders(graph):
+    """The first canonical order of each class of orders that an
+    automorphism maps onto each other, by brute force: the automorphisms
+    are the permutations that keep the edge set, and one maps an order to
+    its relabelled sequence, brought back to canonical form by rotation
+    and reflection."""
+    n = graph.n
+    autos = [perm for perm in itertools.permutations(range(1, n + 1))  # v becomes perm[v - 1]
+             if {edge(perm[u - 1], perm[v - 1]) for u, v in graph.edges} == graph.edges]
+
+    def canonical(seq):
+        i = seq.index(1)
+        seq = seq[i:] + seq[:i]
+        return seq if n < 3 or seq[1] < seq[-1] else seq[:1] + seq[:0:-1]
+
+    leaders, covered = [], set()
+    for order in canonical_orders(n):
+        if order.seq not in covered:
+            leaders.append(order)
+            covered |= {canonical(tuple(perm[v - 1] for v in order.seq)) for perm in autos}
+    return leaders
+
+
+def test_distinct_orders_keeps_the_first_order_of_each_class():
+    rng = random.Random(16)
+    graphs = [complete_graph(6), minus_edge(complete_graph(6), (1, 2)), cycle_power(6, 1),
+              octahedron(3)] + [_random_graph(rng, rng.randint(1, 6)) for _ in range(40)]
+    for graph in graphs:
+        assert list(distinct_orders(graph)) == _class_leaders(graph), sorted(graph.edges)
+
+
+def test_distinct_orders_count():
+    for n in range(1, 9):
+        assert len(list(distinct_orders(complete_graph(n)))) == 1
+    # The missing edge spans 1, 2 or 3 spine positions.
+    assert len(list(distinct_orders(minus_edge(complete_graph(6), (1, 2))))) == 3
+    assert len(list(distinct_orders(cycle_power(8, 2)))) == 202
+
+
+def _search_every_order(problem):
+    """optimize_order without the quotient: one engine per canonical order,
+    up to the first SAT one."""
+    for order in canonical_orders(problem.graph.n):
+        engine = _Engine(problem, order, 10**9, float("inf"))
+        if engine.run():
+            return "sat", serialize_layout(engine.extract_layout())
+    return "unsat", None
+
+
+def test_optimize_order_matches_the_search_over_every_order():
+    """The quotient keeps every verdict and every certificate byte, since
+    the first SAT order of the full enumeration leads its class.  Each
+    graph is searched at budgets 1, 2, ... up to its first SAT one."""
+    rng = random.Random(17)
+    later = 0  # SAT searches whose witness is not on the first canonical order
+    for _ in range(9):
+        graph = _random_graph(rng, rng.randint(5, 7), dense=True)
+        for profile in (Profile.STRICT, Profile.RELAXED):
+            for budget in itertools.count(1):
+                problem = SearchProblem(graph, budget, profile, optimize_order=True)
+                out = solve(problem)
+                got = out.status, out.layout and serialize_layout(out.layout)
+                assert got == _search_every_order(problem), (sorted(graph.edges), profile, budget)
+                if out.status == "sat":
+                    later += out.layout.order != identity_order(graph.n)
+                    break
+    assert later
 
 
 def test_optimize_order_unsat_is_order_free():
