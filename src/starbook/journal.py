@@ -68,6 +68,8 @@ def load_records(path) -> list[JournalRecord]:
             if i == len(lines) - 1:
                 continue  # torn final write
             raise ValueError(f"{path}: corrupt journal line {i + 1}")
+        except (RecursionError, ValueError) as exc:  # nested too deeply, an integer too long
+            raise ValueError(f"{path}: unreadable journal line {i + 1}: {exc}") from None
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: journal line {i + 1} is not a JSON object")
         known = {k: v for k, v in doc.items() if k in _FIELD_TYPES}

@@ -146,28 +146,43 @@ def _noncrossing(order: CircularOrder, edges) -> tuple[bool, tuple[Edge, Edge] |
     Single sweep around the circle with a stack (balanced-parenthesis
     test) over the chords sorted by (left end, -right end); chords
     sharing a vertex occupy the same position and never conflict.
-    Returns a witness crossing pair on failure: the open chord on top
-    of the stack and the chord that starts inside it and ends outside.
+    Each chord is sorted as one int, left end << s | (mask - right end),
+    and the stack holds only the right ends of the open chords, nested,
+    above a sentinel (mask) that no position reaches.
+
+    On failure the witness is the open chord on top of the stack and the
+    chord that starts inside it and ends outside; only then are they
+    looked up.  The top chord is, of the chords that end where it ends,
+    the one that starts last before the current chord: none of those
+    has been closed, since every chord swept so far starts before that
+    end.  A reversed copy of a chord has the same positions; the witness
+    names the last such copy in the iteration order of `edges` for the
+    open chord and the first for the other, as a stable sort of the
+    chords does.
     """
-    es = list(edges)
     pos = order._pos
-    m = len(order.seq)
-    try:  # one int per chord: left end * m + (m - 1 - right end)
-        keys = [
-            pu * m + m - 1 - pv if (pu := pos[u]) < (pv := pos[v]) else pv * m + m - 1 - pu
-            for u, v in es
-        ]
+    s = len(order.seq).bit_length()
+    mask = (1 << s) - 1
+    try:
+        keys = sorted([
+            pu << s | mask - pv if (pu := pos[u]) < (pv := pos[v]) else pv << s | mask - pu
+            for u, v in edges
+        ])
     except KeyError as missing:
         raise ValueError(f"vertex {missing.args[0]} is not in the circular order") from None
-    stack: list[tuple[int, int]] = []  # (right end, index) of the open chords, nested
-    for i in sorted(range(len(es)), key=keys.__getitem__):
-        lo, hi = divmod(keys[i], m)
-        hi = m - 1 - hi
-        while stack and stack[-1][0] <= lo:
+    stack = [mask]
+    for key in keys:
+        lo = key >> s
+        hi = mask - (key & mask)
+        while stack[-1] <= lo:
             stack.pop()
-        if stack and hi > stack[-1][0]:
-            return False, (es[stack[-1][1]], es[i])
-        stack.append((hi, i))
+        if hi > stack[-1]:
+            es = list(edges)
+            spans = [(pu, pv) if (pu := pos[u]) < (pv := pos[v]) else (pv, pu) for u, v in es]
+            top = max(span for span in spans if span[1] == stack[-1] and span[0] < lo)
+            outer = len(spans) - 1 - spans[::-1].index(top)
+            return False, (es[outer], es[spans.index((lo, hi))])
+        stack.append(hi)
     return True, None
 
 
@@ -260,7 +275,9 @@ def verify_layout(layout: BookLayout, profile: Profile) -> VerificationReport:
         violations.append(Violation(ORDER_NOT_PERMUTATION))
 
     # Partition exactness: every graph edge on exactly one page.
-    violations.extend(_partition_violations(g.edges, layout.pages))
+    partition = _partition_violations(g.edges, layout.pages)
+    violations.extend(partition)
+    foreign = any(v.kind == FOREIGN_EDGE for v in partition)
 
     # Every page, the cross-cap one included, must be a star forest.
     for pi, page in enumerate(layout.pages):
@@ -271,7 +288,9 @@ def verify_layout(layout: BookLayout, profile: Profile) -> VerificationReport:
     if geometric and order_ok:
         spine = set(layout.order.seq)
         for pi, page in enumerate(layout.pages):
-            drawable = tuple(e for e in page.edge_set if e[0] in spine and e[1] in spine)
+            drawable = page.edge_set
+            if foreign:  # only a foreign edge can have an end off the spine
+                drawable = tuple(e for e in drawable if e[0] in spine and e[1] in spine)
             if page.kind is PageKind.DISK:
                 ok, pair = _noncrossing(layout.order, drawable)
                 if not ok:
@@ -293,15 +312,17 @@ def verify_layout(layout: BookLayout, profile: Profile) -> VerificationReport:
 def _partition_violations(edges: frozenset[Edge], pages) -> list[Violation]:
     """Missing, duplicated and foreign edges of a layout's pages.
 
-    Occurrences are counted only when some edge is placed twice, and
-    only the edges found wrong are looked up again, page by page.
+    The union and differences are taken over the pages' cached edge
+    sets, so no edge is hashed again.  Occurrences are counted only when
+    the page sizes show that some edge is placed twice, and only the
+    edges found wrong are looked up again, page by page.
     """
-    placed = list(chain.from_iterable(p.edges for p in pages))
-    distinct = set(placed)
+    distinct = frozenset().union(*(p.edge_set for p in pages))
     violations = [Violation(MISSING_EDGE, edge=e) for e in edges - distinct]
-    bad = distinct - edges
-    if len(distinct) != len(placed):
-        bad.update(e for e, c in Counter(placed).items() if c > 1)
+    bad = set(distinct - edges)
+    if len(distinct) != sum(len(p.edges) for p in pages):
+        placed = Counter(chain.from_iterable(p.edges for p in pages))
+        bad.update(e for e, c in placed.items() if c > 1)
     if not bad:
         return violations
     # The report is sorted at the end, so iteration order is free here.

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -176,6 +177,20 @@ def test_parse_rejects_malformed():
     bool_edge = {**doc, "pages": [{"kind": "disk", "edges": [[True, 2]]}]}
     with pytest.raises(CertificateError, match="malformed edge"):
         parse_certificate(json.dumps(bool_edge))
+    # Each shape after a good edge, so the message names the first bad one.
+    for bad, message in (("12", "page 2 has a malformed edge '12'"),
+                         ({"a": 1, "b": 2}, "page 2 has a malformed edge {'a': 1, 'b': 2}"),
+                         ([1, 2, 3], "page 2 has a malformed edge [1, 2, 3]"),
+                         ([1.0, 2], "page 2 has a malformed edge [1.0, 2]"),
+                         ([[1], 2], "page 2 has a malformed edge [[1], 2]"),
+                         (None, "page 2 has a malformed edge None"),
+                         ([3, 3], "page 2 edge [3, 3] must satisfy 1 <= u < v"),
+                         ([0, 1], "page 2 edge [0, 1] must satisfy 1 <= u < v")):
+        pages = [{"kind": "disk", "edges": [[1, 2]]},
+                 {"kind": "disk", "edges": [[1, 3], bad, [0, 1], "34"]}]
+        with pytest.raises(CertificateError) as err:
+            parse_certificate(json.dumps({**doc, "pages": pages}))
+        assert str(err.value) == message
     bool_cert = json.loads(serialize_layout(relaxed_complete(2), {"family": "K", "n": 4}))
     bool_cert["order"][0] = True
     for page in bool_cert["pages"]:
@@ -193,6 +208,24 @@ def test_parse_rejects_malformed():
         parse_certificate(json.dumps(loop_edge))
     with pytest.raises(CertificateError):
         parse_certificate(json.dumps({**doc, "meta": {"family": "Q"}}))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_parse_restores_the_garbage_collector(enabled):
+    """parse_certificate pauses the cyclic GC and leaves it as it found it."""
+    good = serialize_layout(star_pages(4), {"family": "K", "n": 4})
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert parse_certificate(good)[0].graph.n == 4
+        assert gc.isenabled() is enabled
+        for text, message in (("not json {", "not valid JSON"),
+                              (good.replace("[\n     1,", "[\n     0,", 1), "edge \\[0, 2\\]")):
+            with pytest.raises(CertificateError, match=message):
+                parse_certificate(text)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_parse_keeps_semantic_problems_for_verifier():

@@ -146,6 +146,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps({"format": "starbook-cert/1", "n": 10**9, "order": [],
                                "pages": []}))
     assert main(["verify", str(bad)]) == 2  # rejected before K_n is built
+    # JSON nested too deeply to decode, or an integer too long to convert.
+    for text in ("[" * 100_000 + "]" * 100_000, '{"n": ' + "9" * 5001 + "}"):
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["verify", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: unreadable JSON: ")
     overfull = json.loads(serialize_layout(star_pages(4), {"family": "K", "n": 4}))
     overfull["pages"].append({"kind": "disk", "edges": [[1, 2]]})
     bad.write_text(json.dumps(overfull))
@@ -281,6 +287,8 @@ def test_named_sizes_are_bounded(argv, tmp_path, capsys):
      '"profile": "saonly", "budget": "x", "outcome": "sat"}', "line 2: field 'budget'"),
     ('{"timestamp": "t", "family": "K", "params": [5], "order_policy": "none", '
      '"profile": "saonly", "budget": 4, "outcome": "sat"}', "line 2: field 'params'"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "unreadable journal line 2", id="deep-nesting"),
+    pytest.param("[" + "9" * 5001 + "]", "unreadable journal line 2", id="5001-digit-int"),
 ])
 def test_table_malformed_journal_exits_2(tmp_path, capsys, line, message):
     journal = tmp_path / "j.jsonl"

@@ -81,13 +81,19 @@ def test_disk_sweep_agrees_with_pairwise_oracle(n):
     rng = random.Random(11)
     for _ in range(400):
         sample = rng.sample(chords, rng.randint(0, min(7, len(chords))))
+        if sample and rng.random() < 0.5:  # a reversed copy or a duplicate of a chord
+            u, v = rng.choice(sample)
+            sample.insert(rng.randint(0, len(sample)), rng.choice([(v, u), (u, v)]))
         ok, pair = disk_page_valid(o, disk_page(sample))
         want_ok, _ = brute_noncrossing(o, sample)
         assert ok == want_ok
         if not ok:
             from starbook import interleaves
             assert interleaves(o, *pair)
-            assert pair[0] in sample and pair[1] in sample
+            # Of the copies on a chord's two vertices, the open chord is the
+            # last in the page and the chord crossing out of it the first.
+            outer, inner = ([e for e in sample if set(e) == set(w)] for w in pair)
+            assert pair == (outer[-1], inner[0])
 
 
 def test_disk_sweep_exhaustive_small():
@@ -282,6 +288,14 @@ def test_verify_detects_missing_and_duplicate_and_foreign():
     )
     foreign = [v for v in rep.violations if v.kind == FOREIGN_EDGE]
     assert len(foreign) == 1 and foreign[0].edge == (1, 4)
+
+    # An edge to the off-spine vertex n + 1 is foreign and left out of the
+    # sweep, which still reports the crossing pair beside it.
+    pages = (disk_page([(1, 3), (2, 4), (4, 5)]), disk_page([(1, 2), (1, 4)]),
+             disk_page([(2, 3), (3, 4)]))
+    rep = verify_layout(BookLayout(g, o, pages), Profile.STRICT)
+    assert [(v.kind, v.edge, v.pair, v.page) for v in rep.violations] == [
+        (CROSSING_PAIR, None, ((1, 3), (2, 4)), 0), (FOREIGN_EDGE, (4, 5), None, 0)]
 
 
 @pytest.mark.parametrize("profile", list(Profile))
