@@ -26,9 +26,9 @@ keeps those chords apart instead, as `cap_cross`.  One running integer,
 `slack`, the vertices untouched by each page summed over the pages
 minus the empty pages, is the most edges the pages can still take.
 Putting an edge on a page updates all of these in a few bitset
-operations; every page set only grows, so each search frame saves the
-page's values, `slack`, `cap_cross` and `counts` (below) and puts them
-back.  Whether page p can take edge i is then the one bit test
+operations; every page set only grows, so a search node holds the
+page's old values, `slack`, `cap_cross` and `counts` (below) in locals
+and puts them back.  Whether page p can take edge i is then the one bit test
 `blocked[p]`, except on the cross-cap page when chord i is in
 `cap_cross`: there the engine
 applies `verify`'s pairwise rule to its flagged chords (those crossing
@@ -50,6 +50,16 @@ n - c edges), so a node whose unassigned edges outnumber `slack` is
 cut; and a node where some unassigned edge has a page count of zero is
 cut.  Both only cut nodes below which no witness exists, and the
 branching choice only reorders the tree, so the search stays complete.
+
+Each search node is one Python call, `_Engine._rec`: most nodes have
+one child or none, so the cost of a call and of reading the engine's
+attributes is most of a node's cost.  The node reads its limits at one
+checkpoint (the next node count at which the node budget runs out or
+the clock is due, every 4,096 nodes), applies both prunes, picks its
+edge from the slices, and puts the edge on each page it tries inline,
+reading the edge's tables once.  Only the rare cross-cap rejection
+(`_cap_feasible`) is a call of its own; `_apply` is the same placement
+as a method, for the fixed pages and for tests.
 
 With `optimize_order` the search runs one engine per class of spine
 orders that an automorphism of the graph maps onto each other (see
@@ -214,6 +224,9 @@ class _Engine:
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
+        # The next node count at which `_rec` reads a limit: the node past
+        # the budget, or the next multiple of 4096, where it reads the clock.
+        self.checkpoint = min(4096, node_budget + 1)
         self.max_depth = 0
 
         fixed = {e for page in problem.fixed_pages for e in page}
@@ -244,8 +257,9 @@ class _Engine:
         self.slack = b * (self.n - 1)  # untouched vertices over all pages - empty pages
         self.cap_cross = 0  # the chords crossing some edge of the cross-cap page
         # counts[j]: the edges whose count of pages blocking them has bit j
-        # set (see _branch_edge); a count is at most b.
+        # set (see _rec); a count is at most b.  slices: the j, high bit first.
         self.counts = [0] * b.bit_length()
+        self.slices = tuple(range(b.bit_length() - 1, -1, -1))
         self.rejected: set[int] = set()  # cap pages the verifier has rejected
         # tried[k]: the pages tried when disk pages 0 .. k-1 are open, in
         # order (those, the first empty disk page if any, the cross-cap
@@ -304,7 +318,9 @@ class _Engine:
         return False
 
     def _apply(self, p: int, i: int) -> None:
-        """Put edge i (u, v) on page p, which `_rec` tried for it.
+        """Put edge i (u, v) on page p: the fixed pages' placements, and a
+        test's.  `_rec` places each branched edge by its own inline copy
+        of these steps, the hot one.
 
         A page blocks an edge whose ends it both touches, and an edge at
         a leaf: a vertex whose one page edge goes to a centre with two or
@@ -352,61 +368,96 @@ class _Engine:
     def run(self) -> bool:
         return self._rec(0, self.unassigned, len(self.problem.fixed_pages))
 
-    def _branch_edge(self, unassigned: int) -> int:
-        """The bit of the unassigned edge with the fewest pages left, ties
-        by static rank, or 0 when some edge has no page left.
+    def _rec(self, depth: int, unassigned: int, opened: int) -> bool:
+        """Search below this node, where disk pages 0 .. opened-1 are open
+        and the rest are empty, in one Python frame.
 
-        An edge's pages left are those `_rec` would try for it without
-        running `_cap_feasible`: the open disk pages and the cross-cap
-        page whose `blocked` bit is clear, plus the first empty disk
-        page, which every edge has alike.  An empty page blocks nothing,
-        so the fewest pages left is the most pages blocking the edge,
-        which `_apply` keeps bit-sliced in `counts`; the most is read from
-        the high bit down.  An edge that all the pages block has no page
-        left, since no disk page is then empty.
+        The limits are read only when the node count reaches `checkpoint`
+        (see `__init__`).  Then come the counting bound and the branched
+        edge: the unassigned edge with the fewest pages left, ties by
+        static rank.  Its pages left are those the loop below would try
+        without running `_cap_feasible`: the open disk pages and the
+        cross-cap page whose `blocked` bit is clear, plus the first empty
+        disk page, which every edge has alike.  An empty page blocks
+        nothing, so the fewest pages left is the most pages blocking the
+        edge, read from the bit-sliced `counts` from the high bit down;
+        when that is every page, no disk page is empty and the edge has no
+        page left, so the node is cut.  Each page the edge may take gets
+        it by the steps of `_apply`, inline, and the child's recursion;
+        the page's old values, `slack`, `cap_cross` and `counts` are held
+        in locals and put back when the child fails.
         """
+        nodes = self.nodes = self.nodes + 1
+        if depth > self.max_depth:
+            self.max_depth = depth
+        if nodes >= self.checkpoint:
+            if nodes > self.node_budget:
+                raise _Abort("node_limit")
+            if time.monotonic() > self.deadline:  # nodes is a multiple of 4096
+                raise _Abort("time_limit")
+            self.checkpoint = min(nodes + 4096, self.node_budget + 1)
+        if not unassigned:
+            return True
+        slack = self.slack
+        if unassigned.bit_count() > slack:
+            return False
         counts = self.counts
         most = unassigned
         top = 0
-        for j in range(len(counts) - 1, -1, -1):
+        for j in self.slices:
             above = most & counts[j]
             if above:
                 most = above
                 top |= 1 << j
         if top == self.budget:
-            return 0  # every page blocks this edge, so no disk page is empty
-        return most & -most
-
-    def _rec(self, depth: int, unassigned: int, opened: int) -> bool:
-        """Search below this node, where disk pages 0 .. opened-1 are open
-        and the rest are empty."""
-        self.nodes += 1
-        if depth > self.max_depth:
-            self.max_depth = depth
-        if self.nodes > self.node_budget:
-            raise _Abort("node_limit")
-        if not self.nodes % 4096 and time.monotonic() > self.deadline:
-            raise _Abort("time_limit")
-        if not unassigned:
-            return True
-        if unassigned.bit_count() > self.slack:
-            return False
-        bit = self._branch_edge(unassigned)
-        if not bit:
-            return False
+            return False  # every page blocks this edge, so no disk page is empty
+        bit = most & -most
         i = bit.bit_length() - 1
         rest = unassigned ^ bit
+        depth += 1
+        edges, inc = self.all_edges, self.inc
+        u, v = edges[i]
+        inc_u, inc_v = inc[u], inc[v]
+        ends = inc_u | inc_v
+        crossing = self.conflict[i]
         mask, blocked, near = self.mask, self.blocked, self.near
-        slack, cap_cross, counts = self.slack, self.cap_cross, self.counts
-        cap = self.cap_idx
+        cap, cap_cross = self.cap_idx, self.cap_cross
         for p, below in self.tried[opened]:
-            if blocked[p] & bit or p == cap and cap_cross & bit and not self._cap_feasible(i):
+            old = blocked[p]
+            if old & bit or p == cap and cap_cross & bit and not self._cap_feasible(i):
                 continue
-            was = mask[p], blocked[p], near[p]
-            self._apply(p, i)
-            if self._rec(depth + 1, rest, below):
+            page, was_near = mask[p], near[p]
+            at = page & ends  # the page edges at u or v, all at one end
+            if not at:  # a new lone edge
+                new = old | ends & was_near | bit
+                near[p] = was_near | ends
+                self.slack = slack + (not page) - 2
+            else:  # the untouched end becomes a leaf
+                touched, at_leaf = (u, inc_v) if at & inc_u else (v, inc_u)
+                new = old | at_leaf
+                if not at & (at - 1):  # a lone edge (touched, far): far becomes a leaf too
+                    a, b = edges[at.bit_length() - 1]
+                    new |= inc[b if a == touched else a]
+                near[p] = was_near | at_leaf
+                self.slack = slack - 1
+            if p == cap:
+                self.cap_cross = cap_cross | crossing
+            else:
+                new |= crossing
+            blocked[p] = new
+            mask[p] = page | bit
+            added = counts[:]
+            carry = new ^ old
+            j = 0
+            while carry:
+                c = added[j]
+                added[j] = c ^ carry
+                carry &= c
+                j += 1
+            self.counts = added
+            if self._rec(depth, rest, below):
                 return True
-            mask[p], blocked[p], near[p] = was
+            mask[p], blocked[p], near[p] = page, old, was_near
             self.slack, self.cap_cross, self.counts = slack, cap_cross, counts
         return False
 

@@ -1,6 +1,8 @@
 """The bench scripts store a run only when it agrees with what they pin:
 bench/proofs.py refuses a SAT verdict (GD 2023 refutes every budget it
-runs) and, for the engine version it pins, a changed node count, and
+runs) and, for the engine version it pins, a changed node count;
+bench/engine.py a verdict against the theorems and, for its pinned
+engine version, a changed node count or witness digest; and
 bench/certs.py a certificate digest that differs from its pin.
 Each script's `measure` is replaced, so no search or timing runs here."""
 
@@ -70,6 +72,25 @@ def test_proofs_pins_the_node_counts_of_its_engine(monkeypatch, tmp_path, capsys
     assert out.read_text() == stored
 
 
+def test_engine_pins_verdicts_nodes_and_digest(monkeypatch, tmp_path, capsys):
+    """A run of the pinned engine version must match every pin; a run of
+    another version is refused only for a verdict against the theorems."""
+    engine = _script(monkeypatch, "engine")
+    out = tmp_path / "BENCH_engine.json"
+    results = {key: {"status": status, "nodes": nodes, "digest": digest}
+               for key, (status, nodes, digest) in engine.PINNED.items()}
+    assert _run(monkeypatch, engine, results, out, engine.PINNED_ENGINE) == 0
+    results["K10/relaxed/b6"]["digest"] = "0" * 64
+    assert _run(monkeypatch, engine, results, out, "three-frame") == 0
+    stored = out.read_text()
+    assert _run(monkeypatch, engine, results, out, engine.PINNED_ENGINE) == 1
+    assert "K10/relaxed/b6 gave ('sat', 16776, '0000" in capsys.readouterr().err
+    results["K10/relaxed/b6"].update(status="unsat", digest=None)
+    assert _run(monkeypatch, engine, results, out, "three-frame") == 1
+    assert "K10/relaxed/b6 is unsat, but the theorem makes it sat" in capsys.readouterr().err
+    assert out.read_text() == stored
+
+
 def test_certs_refuses_a_changed_digest(monkeypatch, tmp_path, capsys):
     certs = _script(monkeypatch, "certs")
     out = tmp_path / "BENCH_certs.json"
@@ -83,7 +104,7 @@ def test_certs_refuses_a_changed_digest(monkeypatch, tmp_path, capsys):
 
 
 def test_committed_bench_runs_pass_their_checks(monkeypatch):
-    for name in ("proofs", "certs"):
+    for name in ("proofs", "engine", "certs"):
         script = _script(monkeypatch, name)
         doc = json.loads((ROOT / "results" / f"BENCH_{name}.json").read_text())
         for label, run in doc["runs"].items():

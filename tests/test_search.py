@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -177,14 +178,25 @@ def test_deterministic_certificates():
 
 
 def test_limits_abort():
-    # K_10 at budget 8 takes 230,822 nodes, so it reaches the deadline
-    # test, which runs every 4,096 nodes.
-    out = solve(SearchProblem(complete_graph(10), 8, Profile.STRICT,
-                              order=identity_order(10), node_limit=50))
-    assert out.status == "aborted" and out.reason == "node_limit"
+    # The node budget and the clock are read at one checkpoint: at the node
+    # past the budget, and at every 4,096th node for the clock.  K_10 at
+    # budget 8 takes 230,822 nodes, so these limits fall on both sides of
+    # the first clock reading.
+    for limit in (0, 1, 4095, 4096, 4097):
+        out = solve(SearchProblem(complete_graph(10), 8, Profile.STRICT,
+                                  order=identity_order(10), node_limit=limit))
+        assert (out.status, out.reason, out.nodes) == ("aborted", "node_limit", limit + 1)
     out = solve(SearchProblem(complete_graph(10), 8, Profile.STRICT,
                               order=identity_order(10), time_limit=0.0))
-    assert out.status == "aborted" and out.reason == "time_limit"
+    assert (out.status, out.reason, out.nodes) == ("aborted", "time_limit", 4_096)
+    # K_6 - e over all orders runs three engines and is SAT in 49 nodes, so
+    # the node budget carries from one engine to the next.
+    problem = SearchProblem(minus_edge(complete_graph(6), (1, 2)), 4, Profile.STRICT,
+                            optimize_order=True, node_limit=48)
+    out = solve(problem)
+    assert (out.status, out.reason, out.nodes) == ("aborted", "node_limit", 49)
+    out = solve(dataclasses.replace(problem, node_limit=49))
+    assert (out.status, out.nodes) == ("sat", 49)
 
 
 def _main_stars(r):
@@ -193,65 +205,71 @@ def _main_stars(r):
     return tuple(tuple((i, j) for j in range(i + 1, i + r + 1)) for i in range(1, r + 1))
 
 
-# Exact verdicts and node counts of the engine's traversal.  Any change to
-# the edge order, the page order, the pruning or the page state shows here.
+# Exact verdicts and node counts of the engine's traversal, and for a SAT
+# case the certificate digest of its witness (no meta).  Any change to the
+# edge order, the page order, the pruning or the page state shows here.
 _PINNED_TRAVERSALS = {
     "K7/strict/b5/identity": (
         lambda: SearchProblem(complete_graph(7), 5, Profile.STRICT, order=identity_order(7)),
-        "unsat", 273),
+        "unsat", 273, None),
     "K6/strict/b4/all-orders": (
         lambda: SearchProblem(complete_graph(6), 4, Profile.STRICT, optimize_order=True),
-        "unsat", 73),
+        "unsat", 73, None),
     # Criterion 4's r = 6; K_8 b6 and K_10 b7, b8 are journal rows.
     "K12/strict/b8/identity": (
         lambda: SearchProblem(complete_graph(12), 8, Profile.STRICT, order=identity_order(12)),
-        "unsat", 4_636),
+        "unsat", 4_636, None),
     # The deepest proof in the repository.
     "K12/strict/b9/identity": (
         lambda: SearchProblem(complete_graph(12), 9, Profile.STRICT, order=identity_order(12)),
-        "unsat", 429_798),
+        "unsat", 429_798, None),
     "K8/strict/b6/fixed-mains": (
         lambda: SearchProblem(complete_graph(8), 6, Profile.STRICT, order=identity_order(8),
                               fixed_pages=_main_stars(4)),
-        "unsat", 29),
+        "unsat", 29, None),
     "K12/strict/b8/fixed-mains": (
         lambda: SearchProblem(complete_graph(12), 8, Profile.STRICT, order=identity_order(12),
                               fixed_pages=_main_stars(6)),
-        "unsat", 51),
+        "unsat", 51, None),
     "K6/relaxed-cap/b3": (
         lambda: SearchProblem(complete_graph(6), 3, Profile.RELAXED, order=identity_order(6),
                               crosscap_allowed=True),
-        "unsat", 31),
+        "unsat", 31, None),
     "K6/relaxed-cap/b4": (
         lambda: SearchProblem(complete_graph(6), 4, Profile.RELAXED, order=identity_order(6),
                               crosscap_allowed=True),
-        "sat", 647),
+        "sat", 647, "864d1a0e14ff17c7c680a9682962b0da1c2e14cd542312735ec2352c6aa3b447"),
     "K6/saonly/b3": (
         lambda: SearchProblem(complete_graph(6), 3, Profile.STAR_FORESTS_ONLY),
-        "unsat", 51),
+        "unsat", 51, None),
     "K7/saonly/b5": (
         lambda: SearchProblem(complete_graph(7), 5, Profile.STAR_FORESTS_ONLY),
-        "sat", 43),
+        "sat", 43, "1c4b925d10aae4281dd41f37304c2a0ebf02af8ff771f1b99731fc6cd1a9c4b4"),
     "K8/relaxed-cap/b5": (
         lambda: SearchProblem(complete_graph(8), 5, Profile.RELAXED, order=identity_order(8),
                               crosscap_allowed=True),
-        "sat", 2_923),
+        "sat", 2_923, "25ac92bef0d380ec56772d7d2379ae951770a42c6d9a721156ab9caf5f014a5e"),
     "K9/relaxed-cap/b5": (
         lambda: SearchProblem(complete_graph(9), 5, Profile.RELAXED, order=identity_order(9),
                               crosscap_allowed=True),
-        "unsat", 1_376),
+        "unsat", 1_376, None),
+    # The benchmark's largest cross-cap search.
+    "K10/relaxed-cap/b6": (
+        lambda: SearchProblem(complete_graph(10), 6, Profile.RELAXED, order=identity_order(10)),
+        "sat", 16_776, "6996e0b5164c7c4547cf40273d9608d051194bed71f67fe5f503f20c98d66335"),
     "K6-e/strict/b4/all-orders": (
         lambda: SearchProblem(minus_edge(complete_graph(6), (1, 2)), 4, Profile.STRICT,
                               optimize_order=True),
-        "sat", 49),
+        "sat", 49, "ec09fa76a793acaa11850e85555326e88bbbee0c05a0db2c869ba71d791a2ee9"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_PINNED_TRAVERSALS))
 def test_pinned_traversal(case):
-    make, status, nodes = _PINNED_TRAVERSALS[case]
+    make, status, nodes, digest = _PINNED_TRAVERSALS[case]
     out = solve(make())
     assert (out.status, out.nodes) == (status, nodes)
+    assert (out.layout and certificate_digest(out.layout)) == digest
 
 
 def _spine(n, shuffled):
@@ -346,9 +364,11 @@ class _CheckedEngine(_Engine):
     each edge's count of pages whose recomputed blocked set holds it.
     An unassigned edge's page count is recomputed
     with a plain loop over the pages, as `_rec` tries them but without
-    the cross-cap rule: the branched edge must have the least count, ties
-    by static rank (its bit index), and a node where some edge has a
-    count of zero must be cut without a child.  The count of open disk
+    the cross-cap rule.  The edge placed on the way to each child, read
+    as the parent's unassigned edges less the child's, must be the
+    parent's edge of least count, ties by static rank (its bit index),
+    and a node where some edge has a count of zero must be cut without a
+    child.  The count of open disk
     pages passed down the recursion must be the number of non-empty disk
     pages, and those must be exactly the pages before it.  The build is
     checked once: the static rank, and each chord's `conflict` set
@@ -357,6 +377,7 @@ class _CheckedEngine(_Engine):
     def __init__(self, *args):
         super().__init__(*args)
         self.reference_pages = {}
+        self.branched = []  # (unassigned, reference edge bit) of each node on the path
         fixed = {e for page in self.problem.fixed_pages for e in page}
         free = [e for e in self.all_edges if e not in fixed]
 
@@ -421,17 +442,10 @@ class _CheckedEngine(_Engine):
             counts[i] = count
         return counts
 
-    def _branch_edge(self, unassigned):
-        bit = super()._branch_edge(unassigned)
-        counts = self.reference_counts(unassigned)
-        least = min(counts.values())
-        if least == 0:
-            assert bit == 0
-        else:
-            assert bit == 1 << min(i for i, c in counts.items() if c == least)
-        return bit
-
     def _rec(self, depth, unassigned, opened):
+        if self.branched:  # the parent's unassigned edges and its reference edge
+            parent, bit = self.branched[-1]
+            assert parent ^ unassigned == bit  # the edge placed on the way to this child
         assert self.state() == self.reference_state()
         disks = [p for p in range(self.disks) if self.mask[p]]
         assert opened == len(disks) and disks == list(range(opened))
@@ -439,10 +453,15 @@ class _CheckedEngine(_Engine):
         for p in range(self.budget):
             placed |= self.mask[p]
         assert unassigned == self.unassigned & ~placed
-        dead = (unassigned and unassigned.bit_count() <= self.slack
-                and 0 in self.reference_counts(unassigned).values())
+        counts = self.reference_counts(unassigned)
+        least = min(counts.values(), default=0)
+        # The edge every child is reached by, or 0 where no child may be.
+        bit = least and 1 << min(i for i, c in counts.items() if c == least)
+        dead = unassigned and unassigned.bit_count() <= self.slack and least == 0
         before = self.nodes
+        self.branched.append((unassigned, bit))
         found = super()._rec(depth, unassigned, opened)
+        self.branched.pop()
         if dead:
             assert not found and self.nodes == before + 1
         return found
@@ -452,7 +471,7 @@ class _CheckedEngine(_Engine):
     "K7/strict/b5/identity", "K6/relaxed-cap/b4", "K6/saonly/b3", "K8/strict/b6/fixed-mains",
     "K9/relaxed-cap/b5", "K6/strict/b4/all-orders"])
 def test_incremental_page_state_matches_recomputation(case):
-    make, status, nodes = _PINNED_TRAVERSALS[case]
+    make, status, nodes, _ = _PINNED_TRAVERSALS[case]
     problem = make()
     orders = distinct_orders(problem.graph) if problem.optimize_order else [
         problem.order or identity_order(problem.graph.n)]
