@@ -140,28 +140,31 @@ def _star_forest_violation(edges) -> Edge | None:
     return min(bad) if bad else None
 
 
-def _noncrossing(order: CircularOrder, edges) -> tuple[bool, tuple[Edge, Edge] | None]:
-    """Decide whether a chord family is pairwise non-crossing.
+def _noncrossing(pos, n: int, edges) -> tuple[bool, tuple[Edge, Edge] | None]:
+    """Decide whether a chord family on an n-vertex spine is pairwise
+    non-crossing; `pos[v]` is the spine position of vertex v, read from
+    the order's dict or, in `verify_layout`, from a list indexed by label.
 
     Single sweep around the circle with a stack (balanced-parenthesis
     test) over the chords sorted by (left end, -right end); chords
     sharing a vertex occupy the same position and never conflict.
-    Each chord is sorted as one int, left end << s | (mask - right end),
-    and the stack holds only the right ends of the open chords, nested,
-    above a sentinel (mask) that no position reaches.
+    Each chord is sorted as one int, left end << s | (mask - right end).
+    The right end of the innermost open chord is kept in `top`, and the
+    stack holds those of the open chords around it, nested, above a
+    sentinel (mask) that no position reaches.
 
-    On failure the witness is the open chord on top of the stack and the
-    chord that starts inside it and ends outside; only then are they
-    looked up.  The top chord is, of the chords that end where it ends,
-    the one that starts last before the current chord: none of those
-    has been closed, since every chord swept so far starts before that
-    end.  A reversed copy of a chord has the same positions; the witness
-    names the last such copy in the iteration order of `edges` for the
-    open chord and the first for the other, as a stable sort of the
-    chords does.
+    On failure the witness is the innermost open chord and the chord
+    that starts inside it and ends outside; only then are they looked
+    up.  The open chord is, of the chords that end where it ends, the
+    one that starts last before the current chord: none of those has
+    been closed, since every chord swept so far starts before that end.
+    A reversed copy of a chord has the same positions; the witness names
+    the last such copy in the iteration order of `edges` for the open
+    chord and the first for the other, as a stable sort of the chords
+    does.  On a permutation order distinct canonical chords have
+    distinct spans, so then the witness does not depend on that order.
     """
-    pos = order._pos
-    s = len(order.seq).bit_length()
+    s = n.bit_length()
     mask = (1 << s) - 1
     try:
         keys = sorted([
@@ -170,19 +173,22 @@ def _noncrossing(order: CircularOrder, edges) -> tuple[bool, tuple[Edge, Edge] |
         ])
     except KeyError as missing:
         raise ValueError(f"vertex {missing.args[0]} is not in the circular order") from None
-    stack = [mask]
+    stack = []
+    push, pop = stack.append, stack.pop
+    top = mask
     for key in keys:
         lo = key >> s
+        while top <= lo:
+            top = pop()
         hi = mask - (key & mask)
-        while stack[-1] <= lo:
-            stack.pop()
-        if hi > stack[-1]:
+        if hi > top:
             es = list(edges)
             spans = [(pu, pv) if (pu := pos[u]) < (pv := pos[v]) else (pv, pu) for u, v in es]
-            top = max(span for span in spans if span[1] == stack[-1] and span[0] < lo)
-            outer = len(spans) - 1 - spans[::-1].index(top)
+            outer_span = max(span for span in spans if span[1] == top and span[0] < lo)
+            outer = len(spans) - 1 - spans[::-1].index(outer_span)
             return False, (es[outer], es[spans.index((lo, hi))])
-        stack.append(hi)
+        push(top)
+        top = hi
     return True, None
 
 
@@ -190,7 +196,7 @@ def disk_page_valid(order: CircularOrder, page: Page) -> tuple[bool, tuple[Edge,
     """True iff no two chords of a disk page cross; else some crossing pair."""
     if page.kind is not PageKind.DISK:
         raise ValueError("disk_page_valid requires a disk page")
-    return _noncrossing(order, page.edges)
+    return _noncrossing(order._pos, len(order.seq), page.edges)
 
 
 @dataclass(frozen=True)
@@ -264,6 +270,14 @@ def verify_layout(layout: BookLayout, profile: Profile) -> VerificationReport:
     Partition exactness and per-page star-forest checks always run; the
     geometric checks and page-kind constraints are skipped under
     STAR_FORESTS_ONLY, as is the spine-order check.
+
+    When the layout has no foreign edge, a page that repeats no edge is
+    read in its stored order (`page.edges`): each of its edges is then a
+    distinct canonical graph edge with its own span, so no witness
+    depends on the reading order.  Any other page is read from its edge
+    set, so a reversed copy of a chord is named by that set's iteration
+    order.  The disk sweep reads spine positions from a list indexed by
+    vertex label, built once per layout.
     """
     profile = Profile(profile)
     g = layout.graph
@@ -279,26 +293,31 @@ def verify_layout(layout: BookLayout, profile: Profile) -> VerificationReport:
     violations.extend(partition)
     foreign = any(v.kind == FOREIGN_EDGE for v in partition)
 
-    # Every page, the cross-cap one included, must be a star forest.
+    sweep = geometric and order_ok
+    if sweep:
+        place = [0] * (g.n + 1)
+        for i, v in enumerate(layout.order.seq):
+            place[v] = i
+        spine = set(layout.order.seq)
     for pi, page in enumerate(layout.pages):
-        witness = _star_forest_violation(page.edge_set)
+        stored = not foreign and len(page.edge_set) == len(page.edges)
+        edges = page.edges if stored else page.edge_set
+        # Every page, the cross-cap one included, must be a star forest.
+        witness = _star_forest_violation(edges)
         if witness is not None:
             violations.append(Violation(NOT_STAR_FOREST, edge=witness, page=pi))
-
-    if geometric and order_ok:
-        spine = set(layout.order.seq)
-        for pi, page in enumerate(layout.pages):
-            drawable = page.edge_set
-            if foreign:  # only a foreign edge can have an end off the spine
-                drawable = tuple(e for e in drawable if e[0] in spine and e[1] in spine)
-            if page.kind is PageKind.DISK:
-                ok, pair = _noncrossing(layout.order, drawable)
-                if not ok:
-                    violations.append(Violation(CROSSING_PAIR, pair=pair, page=pi))
-            else:
-                ok, _split = _crosscap_valid(layout.order, drawable)
-                if not ok:
-                    violations.append(Violation(CROSSCAP_UNROUTABLE, page=pi))
+        if not sweep:
+            continue
+        if foreign:  # only a foreign edge can have an end off the spine
+            edges = tuple(e for e in edges if e[0] in spine and e[1] in spine)
+        if page.kind is PageKind.DISK:
+            ok, pair = _noncrossing(place, g.n, edges)
+            if not ok:
+                violations.append(Violation(CROSSING_PAIR, pair=pair, page=pi))
+        else:
+            ok, _split = _crosscap_valid(layout.order, edges)
+            if not ok:
+                violations.append(Violation(CROSSCAP_UNROUTABLE, page=pi))
 
     if geometric:
         caps = tuple(pi for pi, p in enumerate(layout.pages) if p.kind is PageKind.CROSSCAP)
@@ -312,17 +331,23 @@ def verify_layout(layout: BookLayout, profile: Profile) -> VerificationReport:
 def _partition_violations(edges: frozenset[Edge], pages) -> list[Violation]:
     """Missing, duplicated and foreign edges of a layout's pages.
 
-    The union and differences are taken over the pages' cached edge
-    sets, so no edge is hashed again.  Occurrences are counted only when
-    the page sizes show that some edge is placed twice, and only the
-    edges found wrong are looked up again, page by page.
+    The union is taken over the pages' cached edge sets.  The pages are
+    an exact partition iff the union, the graph's edges and the summed
+    page sizes have one length and the union is a subset of the edges;
+    that one subset test settles a valid layout.  Only otherwise are the
+    differences taken, occurrences counted (when the page sizes show
+    that some edge is placed twice), and the edges found wrong looked up
+    again, page by page.
     """
     distinct = frozenset().union(*(p.edge_set for p in pages))
+    placed = sum(len(p.edges) for p in pages)
+    if len(distinct) == len(edges) == placed and distinct <= edges:
+        return []
     violations = [Violation(MISSING_EDGE, edge=e) for e in edges - distinct]
     bad = set(distinct - edges)
-    if len(distinct) != sum(len(p.edges) for p in pages):
-        placed = Counter(chain.from_iterable(p.edges for p in pages))
-        bad.update(e for e, c in placed.items() if c > 1)
+    if len(distinct) != placed:
+        occurrences = Counter(chain.from_iterable(p.edges for p in pages))
+        bad.update(e for e, c in occurrences.items() if c > 1)
     if not bad:
         return violations
     # The report is sorted at the end, so iteration order is free here.

@@ -687,6 +687,34 @@ def test_distinct_orders_keeps_the_first_order_of_each_class():
         assert list(distinct_orders(graph)) == _class_leaders(graph), sorted(graph.edges)
 
 
+def _distinct_orders_by_edges(graph):
+    """`distinct_orders` as it drew every order from the graph's edges,
+    whatever their density: the reference for the sparser-side drawing."""
+    n = graph.n
+    bit = [[1 << (min(a, b) * n + max(a, b)) for b in range(n)] for a in range(n)]
+    images = [[(s * x + r) % n for x in range(n)] for r in range(n) for s in (1, -1)]
+    seen = set()
+    for order in canonical_orders(n):
+        pos = {v: x for x, v in enumerate(order)}
+        pairs = [(pos[u], pos[v]) for u, v in graph.edges]
+        if sum(bit[a][b] for a, b in pairs) in seen:
+            continue
+        for g in images:
+            seen.add(sum(bit[g[a]][g[b]] for a, b in pairs))
+        yield order
+
+
+def test_distinct_orders_match_the_edge_drawing_on_graphs_and_complements():
+    rng = random.Random(19)
+    for n in range(1, 9):
+        pairs = frozenset(itertools.combinations(range(1, n + 1), 2))
+        for _ in range(4 if n < 8 else 2):
+            graph = _random_graph(rng, n)
+            for g in (graph, SimpleGraph(n, pairs - graph.edges)):
+                assert list(distinct_orders(g)) == list(_distinct_orders_by_edges(g)), \
+                    sorted(g.edges)
+
+
 def test_distinct_orders_count():
     for n in range(1, 9):
         assert len(list(distinct_orders(complete_graph(n)))) == 1

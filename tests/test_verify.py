@@ -7,14 +7,18 @@ from starbook import (
     BookLayout,
     CircularOrder,
     Page,
+    PageKind,
     Profile,
+    SimpleGraph,
     complete_graph,
     crosscap_page,
     crosscap_page_valid,
     disk_page,
     disk_page_valid,
+    edge,
     identity_order,
     is_star_forest,
+    octahedron_pages,
     relaxed_complete,
     strict_literal,
     verify_layout,
@@ -103,6 +107,15 @@ def test_disk_sweep_exhaustive_small():
         for family in itertools.combinations(chords, k) if k <= 3 else ():
             ok, _ = disk_page_valid(o, disk_page(family))
             assert ok == brute_noncrossing(o, family)[0]
+
+
+def test_page_checks_refuse_a_vertex_off_the_spine():
+    o = identity_order(8)
+    message = r"^vertex 9 is not in the circular order$"
+    with pytest.raises(ValueError, match=message):
+        disk_page_valid(o, disk_page([(1, 3), (2, 9)]))
+    with pytest.raises(ValueError, match=message):
+        crosscap_page_valid(o, crosscap_page([(1, 3), (2, 9)]))
 
 
 # --- cross-cap pages --------------------------------------------------------
@@ -397,3 +410,72 @@ def test_report_is_deterministic_and_sorted():
     assert rep1 == rep2
     keys = [v.sort_key() for v in rep1.violations]
     assert keys == sorted(keys)
+
+
+# --- reading order ----------------------------------------------------------
+
+def _relabelled(layout, rng):
+    labels = list(range(1, layout.n + 1))
+    rng.shuffle(labels)
+
+    def relabel(edges):
+        return tuple(sorted(edge(labels[u - 1], labels[v - 1]) for u, v in edges))
+
+    return BookLayout(SimpleGraph(layout.n, frozenset(relabel(layout.graph.edges))),
+                      CircularOrder(tuple(labels[v - 1] for v in layout.order.seq)),
+                      tuple(Page(p.kind, relabel(p.edges)) for p in layout.pages))
+
+
+def _redrawn(layout, kind, spans):
+    """The chords at these spine positions taken off every page and drawn
+    together on a new page of this kind."""
+    seq = layout.order.seq
+    chords = [edge(seq[a], seq[b]) for a, b in spans]
+    pages = [Page(p.kind, [e for e in p.edges if e not in chords]) for p in layout.pages]
+    return BookLayout(layout.graph, layout.order, (*pages, Page(kind, chords)))
+
+
+def _moved(layout, rng, keep=False, drop=False):
+    """One edge taken off a page and, unless dropped, put on another page
+    that lacks it; with keep, a copy is put there instead."""
+    pages = [list(p.edges) for p in layout.pages]
+    i = rng.choice([i for i, es in enumerate(pages) if es])
+    e = rng.choice(pages[i])
+    if not keep:
+        pages[i].remove(e)
+    if not drop:
+        pages[rng.choice([j for j, es in enumerate(pages) if j != i and e not in es])].append(e)
+    return BookLayout(layout.graph, layout.order,
+                      tuple(Page(p.kind, es) for p, es in zip(layout.pages, pages)))
+
+
+_MUTATIONS = {
+    "moved": lambda lay, rng: _moved(lay, rng),
+    "copied": lambda lay, rng: _moved(lay, rng, keep=True),
+    "dropped": lambda lay, rng: _moved(lay, rng, drop=True),
+    "antipodal-on-disk": lambda lay, rng: _redrawn(
+        lay, PageKind.DISK, [(x, x + lay.n // 2) for x in range(lay.n // 2)]),
+    "unroutable-cap": lambda lay, rng: _redrawn(lay, PageKind.CROSSCAP, [(0, 2), (1, 4), (3, 5)]),
+    "not-permutation": lambda lay, rng: BookLayout(
+        lay.graph, CircularOrder(lay.order.seq[:-1] + lay.order.seq[:1]), lay.pages),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+@pytest.mark.parametrize("family", [relaxed_complete, octahedron_pages, strict_literal],
+                         ids=["relaxed", "octahedron", "literal"])
+def test_report_does_not_depend_on_edge_order_within_a_page(family, mutation):
+    """Each page keeps its edges distinct and canonical, so its verifier
+    may read them in any order; shuffling them changes no report."""
+    rng = random.Random(f"{family.__name__}/{mutation}")
+    for r in (3, 4, 8, 16):
+        for _ in range(2):
+            layout = _MUTATIONS[mutation](_relabelled(family(r), rng), rng)
+            assert all(len(p.edge_set) == len(p.edges) for p in layout.pages)
+            assert all(u < v for p in layout.pages for u, v in p.edges)
+            reports = {profile: verify_layout(layout, profile).to_dict() for profile in Profile}
+            for _ in range(3):
+                shuffled = BookLayout(layout.graph, layout.order, tuple(
+                    Page(p.kind, rng.sample(p.edges, len(p.edges))) for p in layout.pages))
+                for profile, want in reports.items():
+                    assert verify_layout(shuffled, profile).to_dict() == want, (r, profile)
