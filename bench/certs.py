@@ -10,8 +10,11 @@ construct, serialize_layout, parse_certificate and verify_layout under
 the relaxed profile, importing starbook from --src (default: this
 checkout's src).  Each stage's seconds are the median of REPEATS runs;
 complete_graph is cached, so only the first construct and parse build
-K_n.  It also records the certificate's size in bytes and its sha256,
-and stores all of it in --out under --label (see record.py).  The bytes
+K_n.  Each verify_layout run gets a layout parsed for it outside its
+timed span, so every run builds the pages' edge sets, as the verify of a
+fresh certificate does.  It also records the certificate's size in bytes
+and its sha256, and stores all of it in --out under --label (see
+record.py).  The bytes
 must not depend on the source tree: a sha256 that differs from its pin
 in PINNED_SHA256 makes the script exit 1 and store nothing.
 """
@@ -20,9 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-import statistics
 import sys
-import time
 from pathlib import Path
 
 import record
@@ -39,16 +40,6 @@ PINNED_SHA256 = {
 }
 
 
-def _timed(fn, *args):
-    """fn(*args) run REPEATS times: its last result and the median seconds."""
-    seconds = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = fn(*args)
-        seconds.append(time.perf_counter() - start)
-    return result, round(statistics.median(seconds), 6)
-
-
 def measure() -> dict:
     starbook = importlib.import_module("starbook")
     certs = importlib.import_module("starbook.certs")
@@ -56,10 +47,12 @@ def measure() -> dict:
     results = {}
     for r in R_VALUES:
         meta = {"family": "K", "n": 2 * r, "r": r, "scheme": "relaxed"}
-        layout, construct_s = _timed(starbook.relaxed_complete, r)
-        text, serialize_s = _timed(certs.serialize_layout, layout, meta)
-        (parsed, _meta), parse_s = _timed(certs.parse_certificate, text)
-        report, verify_s = _timed(starbook.verify_layout, parsed, starbook.Profile.RELAXED)
+        layout, construct_s = record.timed(starbook.relaxed_complete, [(r,)] * REPEATS)
+        text, serialize_s = record.timed(certs.serialize_layout, [(layout, meta)] * REPEATS)
+        _, parse_s = record.timed(certs.parse_certificate, [(text,)] * REPEATS)
+        report, verify_s = record.timed(
+            starbook.verify_layout,
+            ((certs.parse_certificate(text)[0], starbook.Profile.RELAXED) for _ in range(REPEATS)))
         if not report.passed:
             raise SystemExit(f"relaxed_complete({r}) failed verification")
         data = text.encode()

@@ -1,4 +1,5 @@
-"""The command line the bench scripts share: measure, check, then store.
+"""The command line the bench scripts share: measure, check, then store;
+and their timing loop, `timed`.
 
 Each script passes its docstring, its default output file, its `measure`
 (which imports starbook from --src and returns a run with a "results"
@@ -16,10 +17,24 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def timed(fn, calls):
+    """fn(*args) for each args in calls, timing only the call: its last
+    result and the median seconds.  calls may be a generator, so that each
+    run's arguments are made fresh, outside the timed span."""
+    seconds = []
+    for args in calls:
+        start = time.perf_counter()
+        result = fn(*args)
+        seconds.append(time.perf_counter() - start)
+    return result, round(statistics.median(seconds), 6)
 
 
 def main(docstring: str, out: Path, measure, check, argv=None) -> int:

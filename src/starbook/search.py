@@ -221,8 +221,9 @@ class _Engine:
         self.n = problem.graph.n
         self.budget = problem.budget
         self.geometric = problem.profile is not Profile.STAR_FORESTS_ONLY
-        self.cap_idx = problem.budget - 1 if problem.crosscap_allowed else -1
-        self.disks = problem.budget - problem.crosscap_allowed  # pages 0 .. disks-1
+        relaxed = problem.profile is Profile.RELAXED  # the one profile with a cross-cap page
+        self.cap_idx = problem.budget - 1 if relaxed else -1
+        self.disks = problem.budget - relaxed  # pages 0 .. disks-1
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
@@ -548,7 +549,12 @@ def solve(problem: SearchProblem) -> SearchOutcome:
     else:
         orders = [identity_order(problem.graph.n)]
 
-    for order in orders:
+    for count, order in enumerate(orders):
+        # An engine reads the clock only every 4,096 of its own nodes, so
+        # the clock is read again between engines.
+        if count and time.monotonic() > deadline:
+            return SearchOutcome("aborted", None, nodes, max_depth,
+                                 time.monotonic() - start, "time_limit")
         engine = _Engine(problem, order, problem.node_limit - nodes, deadline)
         try:
             found = engine.run()

@@ -1,8 +1,6 @@
 """The bench scripts store a run only when it agrees with what they pin:
-bench/proofs.py refuses a SAT verdict (GD 2023 refutes every budget it
-runs) and, for the engine version it pins, a changed node count;
-bench/engine.py a verdict against the theorems and, for its pinned
-engine version, a changed node count or witness digest; and
+bench/search.py refuses a verdict other than the theorem's and, for its
+pinned engine version, a changed node count or witness digest; and
 bench/certs.py a certificate digest that differs from its pin.
 Each script's `measure` is replaced, so no search or timing runs here."""
 
@@ -23,9 +21,9 @@ def _script(monkeypatch, name):
     return module
 
 
-def _proof_results(status):
-    return {"K8/strict/b6": {"status": "unsat", "reason": None, "nodes": 1890, "seconds": 0.01},
-            "K10/strict/b8": {"status": status, "reason": None, "nodes": 7, "seconds": 0.01}}
+def _search_results(search):
+    return {key: {"status": status, "reason": None, "nodes": nodes, "digest": digest}
+            for key, (status, nodes, digest) in search.INSTANCES.items()}
 
 
 def _cert_results(certs, sha256):
@@ -40,53 +38,42 @@ def _run(monkeypatch, script, results, out, engine=None):
 
 
 @pytest.mark.parametrize("status, code", [("unsat", 0), ("aborted", 0), ("sat", 1)])
-def test_proofs_refuses_a_sat_verdict(monkeypatch, tmp_path, capsys, status, code):
-    proofs = _script(monkeypatch, "proofs")
-    out = tmp_path / "BENCH_proofs.json"
+def test_search_refuses_a_verdict_against_its_theorem(monkeypatch, tmp_path, capsys,
+                                                      status, code):
+    search = _script(monkeypatch, "search")
+    out = tmp_path / "BENCH_search.json"
     out.write_text('{"runs": {"old": {}}}\n')
-    assert _run(monkeypatch, proofs, _proof_results(status), out) == code
+    results = {"K8/strict/b6": {"status": "unsat", "reason": None, "nodes": 1890},
+               "K10/strict/b8": {"status": status, "reason": None, "nodes": 7}}
+    assert _run(monkeypatch, search, results, out) == code
     if code:
-        assert "K10/strict/b8 is SAT" in capsys.readouterr().err
+        assert "K10/strict/b8 is sat, but the theorem makes it unsat" in capsys.readouterr().err
         assert out.read_text() == '{"runs": {"old": {}}}\n'
     else:
         runs = json.loads(out.read_text())["runs"]
-        assert sorted(runs) == ["new", "old"] and runs["new"]["results"] == _proof_results(status)
+        assert sorted(runs) == ["new", "old"] and runs["new"]["results"] == results
         assert runs["new"]["host"]["cpu_count"] >= 1
 
 
-def test_proofs_pins_the_node_counts_of_its_engine(monkeypatch, tmp_path, capsys):
-    """A run of the pinned engine version must take the pinned node counts;
-    a run of another version, as an older tree under --src, is stored
-    unchecked."""
-    proofs = _script(monkeypatch, "proofs")
-    out = tmp_path / "BENCH_proofs.json"
-    results = {key: {"status": "unsat", "reason": None, "nodes": nodes, "seconds": 0.01}
-               for key, nodes in proofs.PINNED_NODES.items()}
-    assert _run(monkeypatch, proofs, results, out, proofs.PINNED_ENGINE) == 0
-    results["K10/strict/b8"]["nodes"] += 1
-    assert _run(monkeypatch, proofs, results, out, "static-order") == 0
-    stored = out.read_text()
-    assert _run(monkeypatch, proofs, results, out, proofs.PINNED_ENGINE) == 1
-    assert (f"K10/strict/b8 took 230,823 nodes, but {proofs.PINNED_ENGINE} takes 230,822"
-            in capsys.readouterr().err)
-    assert out.read_text() == stored
-
-
-def test_engine_pins_verdicts_nodes_and_digest(monkeypatch, tmp_path, capsys):
+def test_search_pins_verdicts_nodes_and_digest(monkeypatch, tmp_path, capsys):
     """A run of the pinned engine version must match every pin; a run of
-    another version is refused only for a verdict against the theorems."""
-    engine = _script(monkeypatch, "engine")
-    out = tmp_path / "BENCH_engine.json"
-    results = {key: {"status": status, "nodes": nodes, "digest": digest}
-               for key, (status, nodes, digest) in engine.PINNED.items()}
-    assert _run(monkeypatch, engine, results, out, engine.PINNED_ENGINE) == 0
+    another version, as an older tree under --src, is refused only for a
+    verdict against the theorems."""
+    search = _script(monkeypatch, "search")
+    out = tmp_path / "BENCH_search.json"
+    results = _search_results(search)
+    assert _run(monkeypatch, search, results, out, search.PINNED_ENGINE) == 0
+    results["K10/strict/b8"]["nodes"] += 1
     results["K10/relaxed/b6"]["digest"] = "0" * 64
-    assert _run(monkeypatch, engine, results, out, "three-frame") == 0
+    assert _run(monkeypatch, search, results, out, "three-frame") == 0
     stored = out.read_text()
-    assert _run(monkeypatch, engine, results, out, engine.PINNED_ENGINE) == 1
-    assert "K10/relaxed/b6 gave ('sat', 16776, '0000" in capsys.readouterr().err
+    assert _run(monkeypatch, search, results, out, search.PINNED_ENGINE) == 1
+    err = capsys.readouterr().err
+    assert f"K10/strict/b8 gave ('unsat', 230823, None), but {search.PINNED_ENGINE}" in err
+    assert "K10/relaxed/b6 gave ('sat', 16776, '0000" in err
+    results = _search_results(search)
     results["K10/relaxed/b6"].update(status="unsat", digest=None)
-    assert _run(monkeypatch, engine, results, out, "three-frame") == 1
+    assert _run(monkeypatch, search, results, out, "three-frame") == 1
     assert "K10/relaxed/b6 is unsat, but the theorem makes it sat" in capsys.readouterr().err
     assert out.read_text() == stored
 
@@ -104,7 +91,7 @@ def test_certs_refuses_a_changed_digest(monkeypatch, tmp_path, capsys):
 
 
 def test_committed_bench_runs_pass_their_checks(monkeypatch):
-    for name in ("proofs", "engine", "certs"):
+    for name in ("search", "certs"):
         script = _script(monkeypatch, name)
         doc = json.loads((ROOT / "results" / f"BENCH_{name}.json").read_text())
         for label, run in doc["runs"].items():

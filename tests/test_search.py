@@ -199,6 +199,16 @@ def test_limits_abort():
     assert (out.status, out.nodes) == ("sat", 49)
 
 
+def test_time_limit_holds_across_engines():
+    # C_8^2 at budget 3 over all orders exhausts each engine in fewer than
+    # 4,096 nodes, so the engines never read the clock themselves; solve
+    # reads it before building the next one.
+    out = solve(SearchProblem(cycle_power(8, 2), 3, Profile.STRICT, optimize_order=True,
+                              time_limit=0.0))
+    assert (out.status, out.reason, out.layout) == ("aborted", "time_limit", None)
+    assert 0 < out.nodes < 4_096
+
+
 def _main_stars(r):
     """The r main stars of the literal strict construction of K_2r: star i
     has leaves i+1 .. i+r."""
