@@ -55,23 +55,36 @@ def test_search_refuses_a_verdict_against_its_theorem(monkeypatch, tmp_path, cap
         assert runs["new"]["host"]["cpu_count"] >= 1
 
 
-def test_search_pins_verdicts_nodes_and_digest(monkeypatch, tmp_path, capsys):
-    """A run of the pinned engine version must match every pin; a run of
-    another version, as an older tree under --src, is refused only for a
-    verdict against the theorems."""
+def test_proofs_pins_the_node_counts_of_its_engine(monkeypatch, tmp_path, capsys):
+    """A run of the pinned engine version must take the pinned node count on
+    every UNSAT proof; a run of another version, as an older tree under
+    --src, is stored unchecked."""
     search = _script(monkeypatch, "search")
     out = tmp_path / "BENCH_search.json"
     results = _search_results(search)
     assert _run(monkeypatch, search, results, out, search.PINNED_ENGINE) == 0
     results["K10/strict/b8"]["nodes"] += 1
+    assert _run(monkeypatch, search, results, out, "static-order") == 0
+    stored = out.read_text()
+    assert _run(monkeypatch, search, results, out, search.PINNED_ENGINE) == 1
+    assert (f"K10/strict/b8 gave ('unsat', 230823, None), but {search.PINNED_ENGINE}"
+            in capsys.readouterr().err)
+    assert out.read_text() == stored
+
+
+def test_engine_pins_verdicts_nodes_and_digest(monkeypatch, tmp_path, capsys):
+    """A run of the pinned engine version must match every pin, the witness
+    digest too; a run of another version is refused only for a verdict
+    against the theorems."""
+    search = _script(monkeypatch, "search")
+    out = tmp_path / "BENCH_search.json"
+    results = _search_results(search)
+    assert _run(monkeypatch, search, results, out, search.PINNED_ENGINE) == 0
     results["K10/relaxed/b6"]["digest"] = "0" * 64
     assert _run(monkeypatch, search, results, out, "three-frame") == 0
     stored = out.read_text()
     assert _run(monkeypatch, search, results, out, search.PINNED_ENGINE) == 1
-    err = capsys.readouterr().err
-    assert f"K10/strict/b8 gave ('unsat', 230823, None), but {search.PINNED_ENGINE}" in err
-    assert "K10/relaxed/b6 gave ('sat', 16776, '0000" in err
-    results = _search_results(search)
+    assert "K10/relaxed/b6 gave ('sat', 16776, '0000" in capsys.readouterr().err
     results["K10/relaxed/b6"].update(status="unsat", digest=None)
     assert _run(monkeypatch, search, results, out, "three-frame") == 1
     assert "K10/relaxed/b6 is unsat, but the theorem makes it sat" in capsys.readouterr().err
