@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,7 +43,8 @@ _FIELD_TYPES = typing.get_type_hints(JournalRecord)
 
 
 def append_record(path, record: JournalRecord) -> None:
-    line = json.dumps(asdict(record), sort_keys=True)
+    # The fields are JSON values already; dataclasses.asdict would deep-copy them.
+    line = json.dumps(vars(record), sort_keys=True)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
         fh.flush()

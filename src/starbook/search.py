@@ -32,9 +32,9 @@ and puts them back.  Whether page p can take edge i is then the one bit test
 `blocked[p]`, except on the cross-cap page when chord i is in
 `cap_cross`: there the engine
 applies `verify`'s pairwise rule to its flagged chords (those crossing
-some chord of the page), and `verify.crosscap_page_valid` must confirm
-every rejection; the engine remembers the pages it has confirmed, so
-each is confirmed once.
+some chord of the page; no two may be parallel), and
+`verify.crosscap_page_valid` must confirm every rejection; the engine
+remembers the pages it has confirmed, so each is confirmed once.
 
 An edge's page count is read from the `blocked` bits alone: the open
 disk pages and the cross-cap page that do not block it, plus the first
@@ -57,11 +57,15 @@ attributes is most of a node's cost.  The node reads its limits at one
 checkpoint (the next node count at which the node budget runs out or
 the clock is due, every 4,096 nodes), applies both prunes, picks its
 edge from the slices, and puts the edge on each page it tries inline,
-reading the edge's tables once.  Each probe of the cross-cap page with
-a chord in `cap_cross` calls `_cap_feasible`, whether it accepts or
-rejects: one pass of the benchmark's crosscap_search workload at seed 0
-makes 8,100 such calls, of which 393 reject.  `_apply` is the same
-placement as a method, for the fixed pages and for tests.
+reading the edge's tables once.  A probe of the cross-cap page with a
+chord in `cap_cross` checks only the chords it newly flags, since the
+page's flagged chords are already pairwise non-parallel (the lemma in
+`_cap_feasible`).  When the chord is the only one newly flagged and no
+flagged chord is parallel to it, `_rec` accepts it inline; otherwise it
+calls `_cap_feasible`.  One pass of the benchmark's crosscap_search
+workload at seed 0 makes 8,100 such probes: 6,771 are accepted inline,
+and 1,329 call `_cap_feasible`, which rejects 393.  `_apply` is the
+same placement as a method, for the fixed pages and for tests.
 
 With `optimize_order` the search runs one engine per class of spine
 orders that an automorphism of the graph maps onto each other (see
@@ -88,6 +92,7 @@ from .model import (
     Page,
     PageKind,
     SimpleGraph,
+    crosscap_page,
     identity_order,
 )
 from .verify import Profile, crosscap_page_valid, verify_layout
@@ -252,6 +257,13 @@ class _Engine:
         for i, (u, v) in enumerate(self.all_edges):
             inc[u] |= 1 << i
             inc[v] |= 1 << i
+        # par[j]: the chords parallel to chord j (u, v), in none of
+        # conflict[j], inc[u] and inc[v]; only the cross-cap rule reads it.
+        self.par = []
+        if self.cap_idx >= 0:
+            full = (1 << m) - 1
+            self.par = [full & ~(self.conflict[j] | inc[u] | inc[v])
+                        for j, (u, v) in enumerate(self.all_edges)]
 
         b = self.budget
         self.mask = [0] * b  # the edges on each page
@@ -285,35 +297,52 @@ class _Engine:
     # page state updates -------------------------------------------------
 
     def _edges(self, mask: int) -> list[Edge]:
-        return sorted(e for j, e in enumerate(self.all_edges) if mask >> j & 1)
+        """The edges of the set `mask`, sorted."""
+        edges = self.all_edges
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(edges[low.bit_length() - 1])
+            mask ^= low
+        out.sort()
+        return out
 
     def _cap_feasible(self, i: int) -> bool:
         """The pairwise rule of `verify` on the cross-cap page plus chord i:
-        no two chords that cross some chord of the page may be parallel.
-        A chord is parallel to chord j (u, v) when it is in none of
-        `conflict[j]`, `inc[u]` and `inc[v]`.
+        no two flagged chords (those crossing some chord of the page) may
+        be parallel.  The chords parallel to chord j are `par[j]`.
+
+        The page's flagged chords are `cap_cross & page`, and they are
+        pairwise non-parallel: the engine puts chord i on the page only
+        when i crosses no page chord, which flags nothing new, or when
+        this rule accepted the page plus i, so the claim holds by
+        induction from the empty page.  (A test that builds a page with
+        `_apply` builds one the verifier accepts, so the claim holds
+        there too.)  So the page plus i breaks the rule iff one of the
+        chords it newly flags, i and the page chords crossing i outside
+        `cap_cross`, is parallel to some flagged chord; only those are
+        checked.  `_rec` accepts without this call when i is the one new
+        chord and no flagged chord is parallel to it.
 
         Each distinct rejected page is confirmed by `crosscap_page_valid`,
         so an UNSAT verdict rests only on disk conflicts and on the
         verifier's own rejections; a wrong accept is caught when the
         witness is verified.
         """
-        cap = self.cap_idx
-        mask = self.mask[cap] | 1 << i
+        page = self.mask[self.cap_idx]
+        mask = page | 1 << i
         flagged = (self.cap_cross | self.conflict[i]) & mask
-        conflict, inc, edges = self.conflict, self.inc, self.all_edges
-        rest = flagged
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            u, v = edges[j]
-            if flagged & ~(conflict[j] | inc[u] | inc[v]):  # a chord parallel to chord j
+        new = flagged & ~(self.cap_cross & page)
+        par = self.par
+        while new:
+            low = new & -new
+            if flagged & par[low.bit_length() - 1]:
                 break
-            rest ^= low
+            new ^= low
         else:
             return True
         if mask not in self.rejected:
-            probe = Page(PageKind.CROSSCAP, tuple(self._edges(mask)))
+            probe = crosscap_page(self._edges(mask))
             if crosscap_page_valid(self.order, probe)[0]:
                 raise RuntimeError("engine rejected a cross-cap page that the verifier accepts: "
                                    + ", ".join(f"{u}-{v}" for u, v in probe.edges))
@@ -379,13 +408,16 @@ class _Engine:
         (see `__init__`).  Then come the counting bound and the branched
         edge: the unassigned edge with the fewest pages left, ties by
         static rank.  Its pages left are those the loop below would try
-        without running `_cap_feasible`: the open disk pages and the
+        without the cross-cap rule: the open disk pages and the
         cross-cap page whose `blocked` bit is clear, plus the first empty
         disk page, which every edge has alike.  An empty page blocks
         nothing, so the fewest pages left is the most pages blocking the
         edge, read from the bit-sliced `counts` from the high bit down;
         when that is every page, no disk page is empty and the edge has no
-        page left, so the node is cut.  Each page the edge may take gets
+        page left, so the node is cut.  The cross-cap page takes a chord in
+        `cap_cross` when no page chord outside `cap_cross` crosses it and
+        no flagged chord is parallel to it, and otherwise when
+        `_cap_feasible` accepts.  Each page the edge may take gets
         it by the steps of `_apply`, inline, and the child's recursion;
         the page's old values, `slack`, `cap_cross` and `counts` are held
         in locals and put back when the child fails.
@@ -427,7 +459,11 @@ class _Engine:
         cap, cap_cross = self.cap_idx, self.cap_cross
         for p, below in self.tried[opened]:
             old = blocked[p]
-            if old & bit or p == cap and cap_cross & bit and not self._cap_feasible(i):
+            if old & bit:
+                continue
+            if p == cap and cap_cross & bit and (
+                    crossing & mask[p] & ~cap_cross or cap_cross & mask[p] & self.par[i]
+            ) and not self._cap_feasible(i):
                 continue
             page, was_near = mask[p], near[p]
             at = page & ends  # the page edges at u or v, all at one end
@@ -470,7 +506,7 @@ class _Engine:
             if not self.mask[p]:
                 continue
             kind = PageKind.CROSSCAP if p == self.cap_idx else PageKind.DISK
-            pages.append(Page(kind, tuple(self._edges(self.mask[p]))))
+            pages.append(Page(kind, self._edges(self.mask[p])))
         return BookLayout(self.problem.graph, self.order, tuple(pages))
 
 

@@ -30,6 +30,20 @@ def test_append_and_load(tmp_path):
     assert load_records(tmp_path / "missing.jsonl") == []
 
 
+def test_appended_line_is_the_asdict_form(tmp_path):
+    """A record is written as `json.dumps(dataclasses.asdict(record),
+    sort_keys=True)`, nested `params` and `extra` included."""
+    record = dataclasses.replace(
+        _record(6, "aborted"), params={"n": 6, "order": [3, 1, 2], "sub": {"b": [1, {"c": None}]}},
+        extra={"reason": "time_limit", "stats": {"depth": [1, 2.5], "z": {"y": True}}},
+        certificate_digest="ab" * 32, engine="fail-first/2")
+    path = tmp_path / "journal.jsonl"
+    append_record(path, record)
+    assert path.read_text(encoding="utf-8") == (
+        json.dumps(dataclasses.asdict(record), sort_keys=True) + "\n")
+    assert load_records(path) == [record]
+
+
 def test_truncated_final_line_is_skipped(tmp_path):
     path = tmp_path / "journal.jsonl"
     append_record(path, _record(4, "unsat"))

@@ -380,13 +380,17 @@ class _CheckedEngine(_Engine):
     and a node where some edge has a count of zero must be cut without a
     child.  The count of open disk
     pages passed down the recursion must be the number of non-empty disk
-    pages, and those must be exactly the pages before it.  The build is
-    checked once: the static rank, and each chord's `conflict` set
-    against the chords `segments_cross` finds crossing it."""
+    pages, and those must be exactly the pages before it.  The cross-cap
+    page must pass `verify.crosscap_page_valid` at every node, so every
+    probe the engine accepts, inline in `_rec` or by `_cap_feasible`, is
+    checked against the verifier.  The build is checked once: the static
+    rank, and each chord's `conflict` set against the chords
+    `segments_cross` finds crossing it."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.reference_pages = {}
+        self.valid_caps = {}  # cross-cap page mask -> the verifier's verdict
         self.branched = []  # (unassigned, reference edge bit) of each node on the path
         fixed = {e for page in self.problem.fixed_pages for e in page}
         free = [e for e in self.all_edges if e not in fixed]
@@ -424,6 +428,13 @@ class _CheckedEngine(_Engine):
             self.reference_pages[key] = cross, blocked, near, self.n - len(touched)
         return self.reference_pages[key]
 
+    def cap_valid(self):
+        mask = self.mask[self.cap_idx]
+        if mask not in self.valid_caps:
+            page = crosscap_page(e for j, e in enumerate(self.all_edges) if mask >> j & 1)
+            self.valid_caps[mask] = crosscap_page_valid(self.order, page)[0]
+        return self.valid_caps[mask]
+
     def reference_state(self):
         cross, blocked, near, free = zip(*(self.reference_page(p) for p in range(self.budget)))
         slack = sum(free) - self.mask.count(0)
@@ -457,6 +468,7 @@ class _CheckedEngine(_Engine):
             parent, bit = self.branched[-1]
             assert parent ^ unassigned == bit  # the edge placed on the way to this child
         assert self.state() == self.reference_state()
+        assert self.cap_idx < 0 or self.cap_valid()
         disks = [p for p in range(self.disks) if self.mask[p]]
         assert opened == len(disks) and disks == list(range(opened))
         placed = 0
