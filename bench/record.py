@@ -1,5 +1,5 @@
 """The command line the bench scripts share: measure, check, then store;
-and their timing loop, `timed`.
+and bench/certs.py's timing loop, `timed`.
 
 Each script passes its docstring, its default output file, its `measure`
 (which imports starbook from --src and returns a run with a "results"

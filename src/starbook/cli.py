@@ -277,7 +277,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except StrictLayoutUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if exc.reason is None else 3
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

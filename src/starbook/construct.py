@@ -7,8 +7,9 @@ The relaxed construction for K_{2r} uses r two-star disk pages plus one
 cross-cap page holding the r antipodal edges.  The strict construction
 transcribed literally from its source text is kept as its own operation
 because, under the fixed cyclic reading of its leaf ranges, it fails to
-partition the edge set (duplicates and missing edges); strict_complete
-asks the exact search for a witness instead.
+partition the edge set (duplicates and missing edges).  strict_complete
+gives the n-1 star pages where they fit the r+2 budget (r <= 3) and, for
+r >= 4, the theorem that no strict layout within it exists.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ from .verify import Profile, verify_layout
 # Most vertices of any graph built from a size a user names: K_n has
 # n(n-1)/2 edges, and every layout holds each of them.
 MAX_VERTICES = 1024
-# Largest r that strict_complete accepts: the largest whose budget-(r+2)
-# search has been run to exhaustion (K_20 at budget 12, 19,013 nodes).
-STRICT_R_MAX = 10
 
 # The graph families family_graph builds, each with its parameters besides n.
 FAMILIES = {"K": (), "O": ("r",), "Cpow": ("k",), "K-e": ("e",)}
@@ -48,16 +46,7 @@ def check_size(n: int) -> None:
 
 
 class StrictLayoutUnavailable(Exception):
-    """Raised when no strict witness within the page budget can be produced.
-
-    `reason` is the search's abort reason ("node_limit" or "time_limit")
-    when a resource limit stopped it, and None when the search was
-    exhausted, which proves that no witness exists within the budget.
-    """
-
-    def __init__(self, message: str, reason: str | None = None):
-        super().__init__(message)
-        self.reason = reason
+    """Raised when no strict layout exists within the page budget."""
 
 
 @lru_cache(maxsize=None)
@@ -240,53 +229,23 @@ def strict_literal(r: int) -> BookLayout:
     return BookLayout(complete_graph(n), identity_order(n), tuple(pages))
 
 
-def strict_complete(
-    r: int,
-    node_limit: int = 10**9,
-    time_limit: float = 600.0,
-) -> BookLayout:
-    """A verified strict layout of K_{2r} with at most r+2 star-forest pages.
+def strict_complete(r: int) -> BookLayout:
+    """A strict layout of K_{2r} with at most r+2 star-forest pages.
 
-    For r = 2 the n-1 single-star pages fit the budget; for r >= 3 the
-    exact search over the identity order at budget r+2 decides.
-
-    A witness exists only for r <= 3: the convex K_n cannot be split into
-    fewer than n-1 noncrossing star forests (Pach, Saghafian and Schnider,
+    For r <= 3 the n-1 single-star pages fit the budget, since 2r-1 <= r+2.
+    For r >= 4 none exists: the convex K_n cannot be split into fewer than
+    n-1 noncrossing star forests (Pach, Saghafian and Schnider,
     "Decomposition of geometric graphs into star forests", GD 2023), and
-    2r-1 > r+2 for every r >= 4.  The search settles r = 4..STRICT_R_MAX
-    by exhausting the budget.  Deterministic for a fixed r; raises
-    StrictLayoutUnavailable (with the abort reason, or None when the
-    search was exhausted) rather than ever returning an unverified layout.
+    2r-1 > r+2, so StrictLayoutUnavailable is raised.
     """
-    from .search import SearchProblem, solve
-
     if r < 2:
         raise ValueError(f"strict construction needs r >= 2, got {r}")
-    if r > STRICT_R_MAX:
-        raise ValueError(f"r={r} exceeds the supported maximum {STRICT_R_MAX}")
     n = 2 * r
-    if r == 2:
-        return star_pages(n)
-
-    outcome = solve(SearchProblem(
-        graph=complete_graph(n),
-        budget=r + 2,
-        profile=Profile.STRICT,
-        order=identity_order(n),
-        node_limit=node_limit,
-        time_limit=time_limit,
-    ))
-    if outcome.status == "sat":
-        return outcome.layout
-    if outcome.status == "aborted":
+    if n - 1 > r + 2:
         raise StrictLayoutUnavailable(
-            f"search for r={r} hit its {outcome.reason} before resolving",
-            reason=outcome.reason,
-        )
-    raise StrictLayoutUnavailable(
-        f"no strict {r + 2}-page star-forest layout of K_{n} exists (search exhausted)",
-        reason=None,
-    )
+            f"no strict {r + 2}-page star-forest layout of K_{n} exists: the convex K_{n} "
+            f"needs {n - 1} noncrossing star forests (Pach, Saghafian and Schnider, GD 2023)")
+    return star_pages(n)
 
 
 def octahedron_pages(r: int) -> BookLayout:
@@ -323,7 +282,7 @@ def construction_pages(n: int) -> dict[Profile, int]:
 SCHEMES = {
     "relaxed": relaxed_complete,
     "strict-literal": strict_literal,
-    "strict": lambda r: strict_complete(r),  # looked up at each call, so it can be replaced
+    "strict": strict_complete,
     "stars": star_pages,
     "octahedron": octahedron_pages,
     "odd": lambda r: odd_extension(relaxed_complete(r)),
@@ -338,7 +297,7 @@ def construct(scheme: str, n: int | None = None, r: int | None = None) -> tuple[
     from r, and takes r, n or both when they agree: `octahedron` builds
     O_r and the rest K_n.  A missing, disagreeing or unknown value, or
     more than MAX_VERTICES vertices, raises ValueError, and `strict`
-    raises StrictLayoutUnavailable when no witness can be produced.
+    raises StrictLayoutUnavailable for r >= 4, where no layout exists.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")

@@ -224,11 +224,18 @@ class _Engine:
         self.problem = problem
         self.order = order
         self.n = problem.graph.n
-        self.budget = problem.budget
+        # The page tables are sized by the budget, so a budget past m + 1
+        # (m edges) is cut to m + 1, which changes no node.  A disk page
+        # opens only when an edge goes on it, so while an edge is
+        # unassigned fewer than m pages are open and the first empty disk
+        # page is always there to try; and after t placements slack is at
+        # least (m+1)(n-1) - 2t >= m - t, the unassigned edges, so the
+        # counting bound never cuts.
+        self.budget = min(problem.budget, problem.graph.m + 1)
         self.geometric = problem.profile is not Profile.STAR_FORESTS_ONLY
         relaxed = problem.profile is Profile.RELAXED  # the one profile with a cross-cap page
-        self.cap_idx = problem.budget - 1 if relaxed else -1
-        self.disks = problem.budget - relaxed  # pages 0 .. disks-1
+        self.cap_idx = self.budget - 1 if relaxed else -1
+        self.disks = self.budget - relaxed  # pages 0 .. disks-1
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0

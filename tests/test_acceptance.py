@@ -118,17 +118,21 @@ def test_criterion_4_strict_upper_bound_witnesses():
         results[r] = f"{len(layout.pages)} pages"
 
     # r >= 4: K_2r needs 2r-1 > r+2 pages, so no witness exists, and the
-    # unrestricted search must be exhausted for r = 4, 5 and 6.  With no
-    # wall-clock limit the verdict rests on its deterministic node count,
-    # not on host speed.
-    for r in (4, 5, 6):
+    # search must exhaust budget r+2 on the identity order for r = 4, 5
+    # and 6 in its pinned node counts.  With no wall-clock limit the
+    # verdict rests on those deterministic counts, not on host speed.
+    pins = {4: 1_890, 5: 3_049, 6: 4_636}
+    for r in pins:
+        n = 2 * r
+        outcome = solve(SearchProblem(complete_graph(n), r + 2, Profile.STRICT,
+                                      order=identity_order(n), time_limit=math.inf))
         try:
-            layout = strict_complete(r, time_limit=math.inf)
-            results[r] = f"{len(layout.pages)} pages"
-        except StrictLayoutUnavailable as exc:
-            results[r] = exc.reason or "exhausted"
+            strict_complete(r)
+            results[r] = "a layout from strict_complete"
+        except StrictLayoutUnavailable:
+            results[r] = (outcome.status, outcome.nodes)
     elapsed = time.time() - t0
-    refuted = results[4] == results[5] == results[6] == "exhausted"
+    refuted = all(results[r] == ("unsat", nodes) for r, nodes in pins.items())
     _line(4, refuted,
           f"strict r+2 witnesses for r<=3, refutation for r>=4: {results}, {elapsed:.0f}s")
     assert refuted, results

@@ -9,7 +9,6 @@ from starbook import (
     BookLayout,
     Page,
     Profile,
-    StrictLayoutUnavailable,
     octahedron_pages,
     relaxed_complete,
     star_pages,
@@ -64,18 +63,11 @@ def test_search_exit_codes_and_journal(tmp_path):
     assert {r.engine for r in records} == {ENGINE_VERSION}
 
 
-@pytest.mark.parametrize("reason, code", [
-    (None, 1), ("node_limit", 3), ("time_limit", 3),
-])
-def test_construct_strict_exit_code_follows_reason(monkeypatch, capsys, reason, code):
-    # An exhausted search is a proof that no witness exists (exit 1); an
-    # aborted one settles nothing and must report the resource limit (exit 3).
-    def unavailable(r):
-        raise StrictLayoutUnavailable(f"no witness for r={r}", reason=reason)
-
-    monkeypatch.setattr("starbook.construct.strict_complete", unavailable)
-    assert main(["construct", "--n", "12", "--scheme", "strict"]) == code
-    assert "no witness for r=6" in capsys.readouterr().err
+def test_construct_strict_exits_1_citing_gd2023(capsys):
+    # K_12 needs 11 noncrossing star forests, more than r+2 = 8, so no
+    # strict layout exists and construct fails with the theorem (exit 1).
+    assert main(["construct", "--n", "12", "--scheme", "strict"]) == 1
+    assert "GD 2023" in capsys.readouterr().err
 
 
 def test_search_writes_certificate_and_svg(tmp_path):

@@ -191,16 +191,24 @@ def test_strict_complete_r3_five_pages_deterministic():
 
 
 def test_strict_complete_r4_reports_why_it_has_no_witness():
-    # The budget-6 search of K_8 is exhausted in 1,890 nodes, so a
-    # 1,000-node limit aborts it and strict_complete must fail with that
-    # reason; without a limit it fails with reason None, a proof that no
-    # witness exists.
-    with pytest.raises(StrictLayoutUnavailable) as excinfo:
-        strict_complete(4, node_limit=1_000, time_limit=30.0)
-    assert excinfo.value.reason == "node_limit"
-    with pytest.raises(StrictLayoutUnavailable) as excinfo:
+    # K_8 needs 7 noncrossing star forests (GD 2023), more than 6.
+    with pytest.raises(StrictLayoutUnavailable, match="GD 2023"):
         strict_complete(4)
-    assert excinfo.value.reason is None
+
+
+def test_strict_complete_never_searches(monkeypatch):
+    # The layouts for r <= 3 are the star pages, and r >= 4 is a theorem,
+    # so no search runs.
+    def no_search(problem):
+        raise AssertionError("strict_complete ran the search")
+
+    monkeypatch.setattr("starbook.search.solve", no_search)
+    assert certificate_digest(strict_complete(2)) == (
+        "672eb9d2b1da10de178f8847ad14de265ceb1caf0307f58ea428ac61497bec1a")
+    assert certificate_digest(strict_complete(3)) == (
+        "045f9bbfb47ae356836572bcc481cccc3fbe8eb1ed75325fd460a7fe6f79442c")
+    with pytest.raises(StrictLayoutUnavailable):
+        strict_complete(4)
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -217,17 +225,17 @@ def test_construction_pages_count_the_constructions(n):
 
 def test_strict_complete_r7_is_exhausted():
     # K_14 at budget 9 is exhausted in 6,805 nodes on the identity order,
-    # so strict_complete(7) proves that no witness exists.
+    # as GD 2023 says it must be, and strict_complete(7) reports it.
     outcome = solve(SearchProblem(complete_graph(14), 9, Profile.STRICT, order=identity_order(14)))
     assert (outcome.status, outcome.nodes) == ("unsat", 6_805)
-    with pytest.raises(StrictLayoutUnavailable) as excinfo:
+    with pytest.raises(StrictLayoutUnavailable):
         strict_complete(7)
-    assert excinfo.value.reason is None
 
 
 def test_strict_complete_r_max_guard():
-    for r in (11, 13):
-        with pytest.raises(ValueError):
+    # Every r >= 4 gets the theorem's answer, however large.
+    for r in (11, 13, 512):
+        with pytest.raises(StrictLayoutUnavailable):
             strict_complete(r)
     with pytest.raises(ValueError):
         strict_complete(1)

@@ -209,6 +209,17 @@ def test_time_limit_holds_across_engines():
     assert 0 < out.nodes < 4_096
 
 
+@pytest.mark.parametrize("profile", list(Profile))
+def test_huge_budget_searches_as_edge_count_plus_one(profile):
+    # K_6 has 15 edges, so no budget past 16 can change a node; the page
+    # tables are sized by min(budget, 16), not by a budget of 10^9.
+    def key(budget):
+        out = solve(SearchProblem(complete_graph(6), budget, profile, order=identity_order(6)))
+        return out.status, out.nodes, out.layout and certificate_digest(out.layout)
+
+    assert key(10**9) == key(16)
+
+
 def _main_stars(r):
     """The r main stars of the literal strict construction of K_2r: star i
     has leaves i+1 .. i+r."""
