@@ -137,11 +137,8 @@ def family_graph(n: int, params: dict) -> SimpleGraph:
 def _star(center: int, first_leaf: int, count: int, n: int) -> list[Edge]:
     """Edges of a star whose leaves run cyclically from first_leaf."""
     c = (center - 1) % n + 1
-    out = []
-    for t in range(count):
-        leaf = (first_leaf + t - 1) % n + 1
-        out.append((c, leaf) if c < leaf else (leaf, c))
-    return out
+    leaves = ((first_leaf + t - 1) % n + 1 for t in range(count))
+    return [(c, x) if c < x else (x, c) for x in leaves]
 
 
 def star_pages(n: int) -> BookLayout:
@@ -150,7 +147,7 @@ def star_pages(n: int) -> BookLayout:
     if n < 1:
         raise ValueError(f"star pages need n >= 1, got {n}")
     pages = tuple(
-        disk_page(sorted((i, j) for j in range(i + 1, n + 1)))
+        disk_page((i, j) for j in range(i + 1, n + 1))
         for i in range(1, n)
     )
     return BookLayout(complete_graph(n), identity_order(n), pages)
@@ -163,16 +160,21 @@ def relaxed_complete(r: int) -> BookLayout:
     star at r+i with leaves r+i+1 .. i-1 (cyclically); the cross-cap
     page holds the r antipodal edges {i, r+i}.  Total edge count is
     2r^2 - r, every edge exactly once.
+
+    With h = r+i, page i is built in sorted order from three ranges:
+    the star at h's leaves below i, (j, h) for j < i; the star at i,
+    (i, j) for i < j < h; and the star at h's leaves above it, (h, j)
+    for j > h.
     """
     if r < 2:
         raise ValueError(f"relaxed construction needs r >= 2, got {r}")
     n = 2 * r
-    pages = []
-    for i in range(1, r + 1):
-        es = _star(i, i + 1, r - 1, n) + _star(r + i, r + i + 1, r - 1, n)
-        pages.append(disk_page(sorted(es)))
-    cap = crosscap_page(sorted(edge(i, r + i) for i in range(1, r + 1)))
-    pages.append(cap)
+    pages = [
+        disk_page([(j, h) for j in range(1, i)] + [(i, j) for j in range(i + 1, h)]
+                  + [(h, j) for j in range(h + 1, n + 1)])
+        for i, h in zip(range(1, r + 1), range(r + 1, n + 1))
+    ]
+    pages.append(crosscap_page((i, r + i) for i in range(1, r + 1)))
     return BookLayout(complete_graph(n), identity_order(n), tuple(pages))
 
 

@@ -126,17 +126,28 @@ def is_star_forest(edges) -> StarForestCheck:
     Equivalently: no edge has both endpoints of degree >= 2.  On failure
     the witness is the first such edge in sorted order.
     """
-    witness = _star_forest_violation({(u, v) if u < v else (v, u) for u, v in edges})
+    canonical = {(u, v) if u < v else (v, u) for u, v in edges}
+    witness = _star_forest_violation(canonical, canonical)
     return StarForestCheck(witness is None, witness)
 
 
-def _star_forest_violation(edges) -> Edge | None:
+def _star_forest_violation(edges, edge_set) -> Edge | None:
     """First edge (sorted) with both endpoints of degree >= 2, if any.
 
-    `edges` must hold each canonical edge once.
+    `edge_set` is a set of vertex pairs, reversed pairs and loops
+    allowed, and `edges` iterates over its members once each (the
+    degrees are counted from it).  Both ends of a bad edge are centres,
+    vertices of degree >= 2, and a valid page has at most two.  So when
+    the centres are few, the bad edges are found by probing `edge_set`
+    for every ordered pair of centres (a centre paired with itself
+    finds a loop); otherwise every edge is scanned.
     """
     deg = Counter(chain.from_iterable(edges))
-    bad = [e for e in edges if deg[e[0]] > 1 and deg[e[1]] > 1]
+    centres = [v for v, d in deg.items() if d > 1]
+    if len(centres) ** 2 < len(edges):
+        bad = [(u, v) for u in centres for v in centres if (u, v) in edge_set]
+    else:
+        bad = [e for e in edges if deg[e[0]] > 1 and deg[e[1]] > 1]
     return min(bad) if bad else None
 
 
@@ -303,7 +314,7 @@ def verify_layout(layout: BookLayout, profile: Profile) -> VerificationReport:
         stored = not foreign and len(page.edge_set) == len(page.edges)
         edges = page.edges if stored else page.edge_set
         # Every page, the cross-cap one included, must be a star forest.
-        witness = _star_forest_violation(edges)
+        witness = _star_forest_violation(edges, page.edge_set)
         if witness is not None:
             violations.append(Violation(NOT_STAR_FOREST, edge=witness, page=pi))
         if not sweep:

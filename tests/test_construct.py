@@ -21,7 +21,7 @@ from starbook import (
     verify_layout,
 )
 from starbook.certs import certificate_digest
-from starbook.construct import construction_pages, family_graph
+from starbook.construct import construct, construction_pages, family_graph
 from starbook.verify import DUPLICATE_EDGE, MISSING_EDGE
 
 
@@ -114,6 +114,33 @@ def test_relaxed_partition_identity(r):
 
 def test_relaxed_total_edges_r10():
     assert sum(relaxed_complete(10).page_sizes()) == 190
+
+
+def test_relaxed_pages_match_the_cyclic_stars():
+    # The docstring's reading, built here from its cyclic stars: disk page i
+    # joins the star at i and the star at r+i, each with the next r-1
+    # vertices around the n-cycle as leaves, sorted.  The stored edge order
+    # is part of the certificate bytes, so it is compared too.
+    for r in range(2, 65):
+        n = 2 * r
+
+        def star(c):
+            return [tuple(sorted((c, (c + t - 1) % n + 1))) for t in range(1, r)]
+
+        want = [("disk", sorted(star(i) + star(r + i))) for i in range(1, r + 1)]
+        want.append(("crosscap", [(i, r + i) for i in range(1, r + 1)]))
+        assert [(p.kind.value, list(p.edges)) for p in relaxed_complete(r).pages] == want
+
+
+@pytest.mark.parametrize("scheme, size, digest", [
+    ("odd", {"r": 64}, "cf414e5d65212b5a834d939d819f6a741691a59fdf3c60cbaf9715f33e22758b"),
+    ("octahedron", {"r": 128}, "88eb468350ef9dbff4794e24854cb4c8745f0e55586d1569b0eb46369ddb3d53"),
+    ("strict-literal", {"r": 64}, "357230c5303daacca838bf2ebaf670f22895d6331c35528b78ebb8698a38fae0"),
+    ("stars", {"n": 256}, "ee4009b3ccef920277a88f18ee24dff0bd5f08efde6d2d59dadcdab76ebf3142"),
+])
+def test_construct_certificate_bytes_pinned(scheme, size, digest):
+    # The bytes `starbook construct` writes; CI pins the first two as well.
+    assert certificate_digest(*construct(scheme, **size)) == digest
 
 
 # --- odd extension -----------------------------------------------------------

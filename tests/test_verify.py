@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from starbook import (
     BookLayout,
@@ -61,6 +63,59 @@ def test_star_forest_matches_brute_force_on_k5_subsets():
                 deg[u] = deg.get(u, 0) + 1
                 deg[v] = deg.get(v, 0) + 1
             assert deg[witness[0]] >= 2 and deg[witness[1]] >= 2
+
+
+def _degree_scan_witness(pairs):
+    """The first (sorted) pair of the set of `pairs` whose two ends each
+    lie on two or more of its pairs (a loop counts twice), or None."""
+    es = set(pairs)
+    deg = {}
+    for u, v in es:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    bad = [(u, v) for u, v in es if deg[u] >= 2 and deg[v] >= 2]
+    return min(bad) if bad else None
+
+
+@st.composite
+def _star_forest_pages(draw):
+    """A page's edge list on 1..n: random pairs, a path (many centres, so
+    the check scans every edge) or two stars (few centres, so it probes
+    centre pairs), plus stray pairs (loops and reversed pairs among them)
+    and repeats, in any order."""
+    n = draw(st.integers(2, 12))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n))
+    shape = draw(st.sampled_from(["random", "path", "stars"]))
+    if shape == "random":
+        edges = draw(st.lists(pair, max_size=12))
+    elif shape == "path":
+        walk = draw(st.permutations(range(1, n + 1)))
+        edges = [edge(u, v) for u, v in zip(walk, walk[1:])]
+    else:
+        a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        leaves = [x for x in range(1, n + 1) if x not in (a, b)]
+        split = draw(st.lists(st.booleans(), min_size=len(leaves), max_size=len(leaves)))
+        edges = [edge(a if at_a else b, x) for x, at_a in zip(leaves, split)]
+    edges += draw(st.lists(pair, max_size=3))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+    return n, draw(st.permutations(edges)), draw(st.sampled_from(list(PageKind)))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_star_forest_pages(), st.sampled_from(list(Profile)))
+@example((8, [(1, 2), (3, 2), (3, 4), (4, 5), (6, 5), (6, 7), (7, 8)], PageKind.DISK), Profile.RELAXED)
+@example((8, [(1, 2), (1, 3), (1, 4), (1, 5), (6, 7), (6, 8), (6, 1), (6, 6)], PageKind.DISK),
+         Profile.STRICT)
+def test_star_forest_witness_matches_degree_scan(page, profile):
+    n, edges, kind = page
+    canonical = [(u, v) if u < v else (v, u) for u, v in edges]
+    want = _degree_scan_witness(canonical)
+    assert is_star_forest(edges) == (want is None, want)
+    layout = BookLayout(complete_graph(n), identity_order(n), (Page(kind, edges),))
+    witnesses = [v.edge for v in verify_layout(layout, profile).violations
+                 if v.kind == NOT_STAR_FOREST]
+    assert witnesses == [w for w in [_degree_scan_witness(edges)] if w is not None]
 
 
 # --- disk pages -------------------------------------------------------------
