@@ -11,16 +11,14 @@ all UNSAT because the convex K_n needs n-1 noncrossing star forests
 (Pach, Saghafian and Schnider, GD 2023); and K_10 at budget 6 under the
 relaxed profile, SAT because relaxed_complete(5) has 6 pages, the
 largest cross-cap search of the benchmark's crosscap_search workload.
-Each search runs, with a TIME_LIMIT-second limit, at least MIN_RUNS
-times and until its runs total MIN_SECONDS, so that a search of a few
-hundredths of a second gets a median of dozens of runs rather than of
-three.  For each it records the verdict, the abort reason if a limit
-stopped it, the node count, the deepest node, the number of runs, the
-median seconds, the nodes per second at that median and, for a SAT
-verdict, the certificate digest of the witness (no meta), and stores
-them in --out under --label (see record.py).  A verdict other than the
-theorem's makes the script exit 1 and store nothing; an abort is kept,
-as older source trees may abort.
+Each search runs with a TIME_LIMIT-second limit, as often as
+record.timed asks.  For each it records the verdict, the abort reason if
+a limit stopped it, the node count, the deepest node, the number of
+runs, the median seconds and their quartiles, the nodes per second at
+that median and, for a SAT verdict, the certificate digest of the
+witness (no meta), and stores them in --out under --label (see
+record.py).  A verdict other than the theorem's makes the script exit 1
+and store nothing; an abort is kept, as older source trees may abort.
 Node counts and witnesses are deterministic: a run of the PINNED_ENGINE
 version whose verdict, node count or digest differs from its pin is
 refused the same way, while other engine versions are stored unchecked.
@@ -29,15 +27,11 @@ refused the same way, while other engine versions are stored unchecked.
 from __future__ import annotations
 
 import importlib
-import statistics
 import sys
-import time
 from pathlib import Path
 
 import record
 
-MIN_RUNS = 3
-MIN_SECONDS = 1.0  # of runs per search, summed
 TIME_LIMIT = 120.0  # seconds per search
 PINNED_ENGINE = "fail-first/2"
 # Each instance's verdict, which the theorems fix, and the node count and
@@ -53,18 +47,6 @@ INSTANCES = {
 }
 
 
-def timed_runs(solve, problem):
-    """solve(problem) at least MIN_RUNS times and until the runs total
-    MIN_SECONDS, timing only the call: the last outcome, the median
-    seconds and the number of runs."""
-    seconds = []
-    while len(seconds) < MIN_RUNS or sum(seconds) < MIN_SECONDS:
-        start = time.perf_counter()
-        outcome = solve(problem)
-        seconds.append(time.perf_counter() - start)
-    return outcome, round(statistics.median(seconds), 6), len(seconds)
-
-
 def measure() -> dict:
     starbook = importlib.import_module("starbook")
     search = importlib.import_module("starbook.search")
@@ -78,17 +60,17 @@ def measure() -> dict:
                                          starbook.Profile(profile),
                                          order=starbook.identity_order(n),
                                          time_limit=TIME_LIMIT)
-        outcome, seconds, runs = timed_runs(starbook.solve, problem)
+        outcome, runs, (q1, seconds, q3) = record.timed(starbook.solve, lambda: (problem,))
         results[key] = {
             "status": outcome.status, "reason": outcome.reason, "nodes": outcome.nodes,
             "max_depth": outcome.max_depth, "runs": runs, "seconds": seconds,
-            "nodes_per_s": round(outcome.nodes / seconds),
+            "seconds_q1": q1, "seconds_q3": q3, "nodes_per_s": round(outcome.nodes / seconds),
             "digest": outcome.layout and certs.certificate_digest(outcome.layout)}
         print(f"{key}: {outcome.status}" + (f" ({outcome.reason})" if outcome.reason else "")
               + f", {outcome.nodes:,} nodes, {runs} runs, median {seconds:.4f} s, "
               f"{results[key]['nodes_per_s']:,} nodes/s", flush=True)
-    return {"engine": getattr(search, "ENGINE_VERSION", None), "min_runs": MIN_RUNS,
-            "min_seconds": MIN_SECONDS, "time_limit_s": TIME_LIMIT, "results": results}
+    return {"engine": getattr(search, "ENGINE_VERSION", None), "min_runs": record.MIN_RUNS,
+            "min_seconds": record.MIN_SECONDS, "time_limit_s": TIME_LIMIT, "results": results}
 
 
 def check(run: dict) -> list[str]:

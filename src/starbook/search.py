@@ -64,8 +64,9 @@ page's flagged chords are already pairwise non-parallel (the lemma in
 flagged chord is parallel to it, `_rec` accepts it inline; otherwise it
 calls `_cap_feasible`.  One pass of the benchmark's crosscap_search
 workload at seed 0 makes 8,100 such probes: 6,771 are accepted inline,
-and 1,329 call `_cap_feasible`, which rejects 393.  `_apply` is the
-same placement as a method, for the fixed pages and for tests.
+and 1,329 call `_cap_feasible`, which rejects 393.  This is the engine's
+only incremental placement: a fixed page, a whole star forest known
+before the search starts, is put on its page in one step by `_load`.
 
 With `optimize_order` the search runs one engine per class of spine
 orders that an automorphism of the graph maps onto each other (see
@@ -83,6 +84,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .model import (
@@ -93,9 +95,10 @@ from .model import (
     PageKind,
     SimpleGraph,
     crosscap_page,
+    disk_page,
     identity_order,
 )
-from .verify import Profile, crosscap_page_valid, verify_layout
+from .verify import Profile, crosscap_page_valid, disk_page_valid, is_star_forest, verify_layout
 
 # Names the branching rule, pruning, page order and the spine orders that
 # optimize_order searches, which fix every node count; journal records
@@ -145,10 +148,9 @@ class SearchProblem:
                 raise ValueError("order optimization is limited to n <= 9")
         if self.order is not None and not self.order.is_permutation_of(self.graph.n):
             raise ValueError("order must be a permutation of the graph's vertices")
-        if len(self.fixed_pages) > self.budget:
-            raise ValueError("more fixed pages than the budget allows")
-        if self.crosscap_allowed and len(self.fixed_pages) >= self.budget:
-            raise ValueError("the cross-cap page cannot be prefilled")
+        # Fixed page p is disk page p, so the cross-cap page is never fixed.
+        if len(self.fixed_pages) > self.budget - relaxed:
+            raise ValueError("more fixed pages than the budget has disk pages")
         if self.fixed_pages and self.optimize_order:
             raise ValueError("fixed pages require a fixed order")
         seen: set[Edge] = set()
@@ -161,6 +163,11 @@ class SearchProblem:
                 if e in seen:
                     raise ValueError(f"fixed edge {e} appears twice")
                 seen.add(e)
+        for p, page in enumerate(self.fixed_pages):  # on the order the search uses
+            if not is_star_forest(page).ok or (
+                    self.profile is not Profile.STAR_FORESTS_ONLY and not disk_page_valid(
+                        self.order or identity_order(self.graph.n), disk_page(page))[0]):
+                raise ValueError(f"fixed page {p} is not a valid star-forest disk page")
 
 
 @dataclass(frozen=True)
@@ -274,7 +281,7 @@ class _Engine:
 
         b = self.budget
         self.mask = [0] * b  # the edges on each page
-        self.blocked = [0] * b  # the edges each page cannot take (see _apply)
+        self.blocked = [0] * b  # the edges each page cannot take (see _load)
         self.near = [0] * b  # the edges at some vertex that the page touches
         self.slack = b * (self.n - 1)  # untouched vertices over all pages - empty pages
         self.cap_cross = 0  # the chords crossing some edge of the cross-cap page
@@ -293,13 +300,8 @@ class _Engine:
             if self.cap_idx >= 0:
                 pages.append((self.cap_idx, k))
             self.tried.append(tuple(pages))
-        # Fixed page p is a disk page that is open or the first empty one.
-        for p, page in enumerate(problem.fixed_pages):
-            for e in page:
-                i = self.all_edges.index(e)
-                if self.blocked[p] >> i & 1:
-                    raise ValueError(f"fixed page {p} is not a valid star-forest disk page")
-                self._apply(p, i)
+        for p, page in enumerate(problem.fixed_pages):  # valid, as SearchProblem checked
+            self._load(p, page)
 
     # page state updates -------------------------------------------------
 
@@ -323,13 +325,11 @@ class _Engine:
         pairwise non-parallel: the engine puts chord i on the page only
         when i crosses no page chord, which flags nothing new, or when
         this rule accepted the page plus i, so the claim holds by
-        induction from the empty page.  (A test that builds a page with
-        `_apply` builds one the verifier accepts, so the claim holds
-        there too.)  So the page plus i breaks the rule iff one of the
-        chords it newly flags, i and the page chords crossing i outside
-        `cap_cross`, is parallel to some flagged chord; only those are
-        checked.  `_rec` accepts without this call when i is the one new
-        chord and no flagged chord is parallel to it.
+        induction from the empty page.  So the page plus i breaks the
+        rule iff one of the chords it newly flags, i and the page chords
+        crossing i outside `cap_cross`, is parallel to some flagged chord;
+        only those are checked.  `_rec` accepts without this call when i is
+        the one new chord and no flagged chord is parallel to it.
 
         Each distinct rejected page is confirmed by `crosscap_page_valid`,
         so an UNSAT verdict rests only on disk conflicts and on the
@@ -356,45 +356,39 @@ class _Engine:
             self.rejected.add(mask)
         return False
 
-    def _apply(self, p: int, i: int) -> None:
-        """Put edge i (u, v) on page p: the fixed pages' placements, and a
-        test's.  `_rec` places each branched edge by its own inline copy
-        of these steps, the hot one.
+    def _load(self, p: int, edges) -> None:
+        """Put the non-empty star forest `edges` on the empty page p in one
+        step: the fixed pages' placement, and a test's.
 
-        A page blocks an edge whose ends it both touches, and an edge at
-        a leaf: a vertex whose one page edge goes to a centre with two or
-        more.  A disk page also blocks the chords crossing its edges; on
-        the cross-cap page they go to `cap_cross`.  The edges the page
-        newly blocks are added to `counts` with a ripple carry, into a
-        new list, so that `_rec` undoes it by putting the old list back.
+        The page blocks every edge joining two vertices it touches (its own
+        edges among them) and every edge at a leaf, a vertex whose one page
+        edge goes to a centre with two or more.  A disk page also blocks the
+        chords crossing its edges; on the cross-cap page they go to
+        `cap_cross`.  `near[p]` becomes the edges at a touched vertex,
+        `slack` gains 1 minus the page's touched vertices, and the edges it
+        blocks are added to `counts` with one ripple carry, into a new list
+        as `_rec` does.
         """
-        u, v = self.all_edges[i]
         inc = self.inc
-        mask = self.mask[p]
-        old = blocked = self.blocked[p]
-        at = mask & (inc[u] | inc[v])  # the page edges at u or v, all at one end
-        if not at:  # a new lone edge
-            ends = inc[u] | inc[v]
-            blocked |= ends & self.near[p] | 1 << i
-            self.near[p] |= ends
-            self.slack += (not mask) - 2
-        else:  # the untouched end becomes a leaf
-            touched, leaf = (u, v) if at & inc[u] else (v, u)
-            blocked |= inc[leaf]
-            if not at & (at - 1):  # a lone edge (touched, far): far becomes a leaf too
-                a, b = self.all_edges[at.bit_length() - 1]
-                blocked |= inc[b if a == touched else a]
-            self.near[p] |= inc[leaf]
-            self.slack -= 1
+        deg = Counter(v for e in edges for v in e)
+        mask = cross = near = blocked = 0
+        for u, v in edges:
+            i = self.all_edges.index((u, v))
+            mask |= 1 << i
+            cross |= self.conflict[i]
+            if deg[u] + deg[v] > 2:  # not a lone edge, so its end of degree 1 is a leaf
+                blocked |= inc[u] if deg[u] == 1 else inc[v]
+        for v in deg:
+            blocked |= inc[v] & near  # the edges joining v to a vertex before it
+            near |= inc[v]
         if p == self.cap_idx:
-            self.cap_cross |= self.conflict[i]
+            self.cap_cross |= cross
         else:
-            blocked |= self.conflict[i]
-        self.blocked[p] = blocked
-        self.mask[p] = mask | 1 << i
+            blocked |= cross
+        self.mask[p], self.blocked[p], self.near[p] = mask, blocked, near
+        self.slack += 1 - len(deg)
         counts = self.counts[:]
-        carry = blocked ^ old
-        j = 0
+        carry, j = blocked, 0
         while carry:
             c = counts[j]
             counts[j] = c ^ carry
@@ -424,10 +418,11 @@ class _Engine:
         page left, so the node is cut.  The cross-cap page takes a chord in
         `cap_cross` when no page chord outside `cap_cross` crosses it and
         no flagged chord is parallel to it, and otherwise when
-        `_cap_feasible` accepts.  Each page the edge may take gets
-        it by the steps of `_apply`, inline, and the child's recursion;
-        the page's old values, `slack`, `cap_cross` and `counts` are held
-        in locals and put back when the child fails.
+        `_cap_feasible` accepts.  Each page the edge may take gets it
+        inline, its state updated by the blocking rule that `_load`
+        states, and then the child's recursion; the page's old values,
+        `slack`, `cap_cross` and `counts` are held in locals and put back
+        when the child fails.
         """
         nodes = self.nodes = self.nodes + 1
         if depth > self.max_depth:

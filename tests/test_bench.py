@@ -1,11 +1,14 @@
 """The bench scripts store a run only when it agrees with what they pin:
 bench/search.py refuses a verdict other than the theorem's and, for its
 pinned engine version, a changed node count or witness digest; and
-bench/certs.py a certificate digest that differs from its pin.
+bench/certs.py a certificate digest that differs from its pin.  A stored
+run names the source tree it measured by its sha256.
 Each script's `measure` is replaced, so no search or timing runs here."""
 
+import hashlib
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -109,3 +112,37 @@ def test_committed_bench_runs_pass_their_checks(monkeypatch):
         doc = json.loads((ROOT / "results" / f"BENCH_{name}.json").read_text())
         for label, run in doc["runs"].items():
             assert script.check(run) == [], (name, label)
+
+
+def test_stored_run_names_its_source_tree(monkeypatch, tmp_path):
+    """src_sha256 is the sha256 over <--src>/starbook/*.py in sorted order,
+    each file as its name, a NUL byte and its bytes, as perfbench/run.py
+    digests a tree; other files are left out."""
+    certs = _script(monkeypatch, "certs")
+    src = tmp_path / "src"
+    (src / "starbook").mkdir(parents=True)
+    for name, text in (("search.py", "b = 2\n"), ("__init__.py", "a = 1\n"), ("notes.txt", "x")):
+        (src / "starbook" / name).write_text(text)
+    want = hashlib.sha256(b"__init__.py\0a = 1\nsearch.py\0b = 2\n").hexdigest()
+    out = tmp_path / "BENCH_certs.json"
+    pinned = certs.PINNED_SHA256["K256/relaxed"]
+    monkeypatch.setattr(certs, "measure", lambda: {"results": _cert_results(certs, pinned)})
+    assert certs.main(["--label", "new", "--out", str(out), "--src", str(src)]) == 0
+    assert json.loads(out.read_text())["runs"]["new"]["src_sha256"] == want
+    assert certs.record.source_digest(ROOT / "src") != want
+
+
+def test_timed_makes_fresh_arguments_for_each_run(monkeypatch):
+    """timed runs a call at least MIN_RUNS times and until the runs total
+    MIN_SECONDS, with arguments made for each run, and returns the last
+    result, the number of runs and the quartiles of the seconds."""
+    record = _script(monkeypatch, "record")
+    made = []
+    monkeypatch.setattr(record, "MIN_SECONDS", 0.0)
+    result, runs, (q1, median, q3) = record.timed(lambda x: 2 * x,
+                                                  lambda: (made.append(1) or len(made),))
+    assert (result, runs, len(made)) == (2 * record.MIN_RUNS, record.MIN_RUNS, record.MIN_RUNS)
+    assert 0 <= q1 <= median <= q3
+    monkeypatch.setattr(record, "MIN_SECONDS", 0.02)
+    _, runs, _ = record.timed(time.sleep, lambda: (0.002,))
+    assert record.MIN_RUNS < runs <= 10

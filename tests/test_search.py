@@ -54,9 +54,13 @@ def test_problem_invariants():
         SearchProblem(g, 2, Profile.STRICT, order=identity_order(5))
     with pytest.raises(ValueError):
         SearchProblem(g, 2, Profile.STRICT, fixed_pages=(((1, 5),),))
-    with pytest.raises(ValueError):
-        SearchProblem(g, 1, Profile.RELAXED, crosscap_allowed=True,
-                      order=identity_order(4), fixed_pages=(((1, 2),),))
+    # Fixed page p is disk page p: a relaxed problem keeps its last page
+    # for the cross-cap page.
+    for budget in (1, 2):
+        with pytest.raises(ValueError, match="more fixed pages than the budget has disk pages"):
+            SearchProblem(g, budget, Profile.RELAXED, order=identity_order(4),
+                          fixed_pages=_main_stars(2)[:budget])
+    SearchProblem(g, 3, Profile.RELAXED, order=identity_order(4), fixed_pages=_main_stars(2))
     with pytest.raises(ValueError, match="at least one edge"):
         SearchProblem(g, 2, Profile.STRICT, fixed_pages=((), ((1, 2),)))
     assert SearchProblem(complete_graph(64), 3, Profile.STRICT).graph.n == 64
@@ -69,10 +73,15 @@ def test_problem_invariants():
                             ({"time_limit": math.nan}, "time limit")):
         with pytest.raises(ValueError, match=message):
             SearchProblem(g, 3, Profile.STRICT, **limits)
-    # A fixed page goes through the engine's own page test.
-    with pytest.raises(ValueError, match="fixed page 0"):
-        solve(SearchProblem(g, 2, Profile.STRICT, order=identity_order(4),
-                            fixed_pages=(((1, 3), (2, 4)),)))
+    # A fixed page must pass the verifier's star-forest test and, with
+    # geometry, its disk test on the search's order.
+    for graph, page in ((g, ((1, 3), (2, 4))), (complete_graph(5), ((1, 2), (2, 3), (3, 4)))):
+        with pytest.raises(ValueError, match="fixed page 0 is not a valid star-forest disk page"):
+            SearchProblem(graph, 2, Profile.STRICT, order=identity_order(graph.n),
+                          fixed_pages=(page,))
+    with pytest.raises(ValueError, match="fixed page 1 is not a valid star-forest disk page"):
+        SearchProblem(complete_graph(5), 3, Profile.STAR_FORESTS_ONLY,
+                      fixed_pages=(((1, 3), (2, 4)), ((1, 2), (2, 3), (3, 4))))
 
 
 def test_solve_examples_k4():
@@ -252,6 +261,26 @@ _PINNED_TRAVERSALS = {
         lambda: SearchProblem(complete_graph(12), 8, Profile.STRICT, order=identity_order(12),
                               fixed_pages=_main_stars(6)),
         "unsat", 51, None),
+    # Fixed pages on a relaxed engine, whose last page is the cross-cap page.
+    "K8/relaxed/b5/fixed-mains": (
+        lambda: SearchProblem(complete_graph(8), 5, Profile.RELAXED, order=identity_order(8),
+                              fixed_pages=_main_stars(4)),
+        "unsat", 5, None),
+    "K8/relaxed/b6/fixed-mains": (
+        lambda: SearchProblem(complete_graph(8), 6, Profile.RELAXED, order=identity_order(8),
+                              fixed_pages=_main_stars(4)),
+        "sat", 56, "8572bb2e95e815ee2c6f40f13d987dbc593ea4091b0dfae0e7003a9312db6cf8"),
+    # Saonly has no geometry, so a page of crossing chords is a valid fixed page.
+    "K7/saonly/b5/fixed-crossing": (
+        lambda: SearchProblem(complete_graph(7), 5, Profile.STAR_FORESTS_ONLY,
+                              fixed_pages=(((1, 3), (2, 4)),)),
+        "sat", 253, "3efe91ced7a98d8d677ded213cf0d2edb89d9ca4bc1a581d94f6dc494700f244"),
+    # Fixed pages on an order other than the identity.
+    "K8/strict/b7/fixed-mains/reordered": (
+        lambda: SearchProblem(complete_graph(8), 7, Profile.STRICT,
+                              order=CircularOrder((3, 7, 1, 5, 8, 2, 6, 4)),
+                              fixed_pages=_main_stars(4)[:2]),
+        "sat", 21, "08f8aa5b9dba1b018bd66cb5c70668226b527a6455ba76ca10cad4a3f6cbf6f4"),
     "K6/relaxed-cap/b3": (
         lambda: SearchProblem(complete_graph(6), 3, Profile.RELAXED, order=identity_order(6),
                               crosscap_allowed=True),
@@ -319,8 +348,8 @@ def test_engine_crosscap_rule_matches_verifier(n, shuffled):
             rest = [f for f in chords if f != e]
             if not crosscap_page_valid(order, crosscap_page(rest))[0]:
                 continue
-            for f in rest:
-                engine._apply(cap, engine.all_edges.index(f))
+            if rest:
+                engine._load(cap, rest)
             i = engine.all_edges.index(e)
             got = not engine.blocked[cap] >> i & 1 and (
                 not engine.cap_cross >> i & 1 or engine._cap_feasible(i))
@@ -502,7 +531,8 @@ class _CheckedEngine(_Engine):
 
 @pytest.mark.parametrize("case", [
     "K7/strict/b5/identity", "K6/relaxed-cap/b4", "K6/saonly/b3", "K8/strict/b6/fixed-mains",
-    "K9/relaxed-cap/b5", "K6/strict/b4/all-orders"])
+    "K8/relaxed/b6/fixed-mains", "K8/strict/b7/fixed-mains/reordered", "K9/relaxed-cap/b5",
+    "K6/strict/b4/all-orders"])
 def test_incremental_page_state_matches_recomputation(case):
     make, status, nodes, _ = _PINNED_TRAVERSALS[case]
     problem = make()
