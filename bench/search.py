@@ -8,9 +8,11 @@ Searches each of INSTANCES on the identity order, importing starbook
 from --src (default: this checkout's src): K_8 at budget 6, K_10 at
 budgets 7 and 8 and K_12 at budgets 8 and 9 under the strict profile,
 all UNSAT because the convex K_n needs n-1 noncrossing star forests
-(Pach, Saghafian and Schnider, GD 2023); and K_10 at budget 6 under the
+(Pach, Saghafian and Schnider, GD 2023); K_10 at budget 6 under the
 relaxed profile, SAT because relaxed_complete(5) has 6 pages, the
-largest cross-cap search of the benchmark's crosscap_search workload.
+largest cross-cap search of the benchmark's crosscap_search workload;
+and K_9 at budget 5 under the saonly profile, UNSAT because the star
+arboricity of K_9 is 6 (Akiyama and Kano, 1985).
 Each search runs with a TIME_LIMIT-second limit, as often as
 record.timed asks.  For each it records the verdict, the abort reason if
 a limit stopped it, the node count, the deepest node, the number of
@@ -33,7 +35,7 @@ from pathlib import Path
 import record
 
 TIME_LIMIT = 120.0  # seconds per search
-PINNED_ENGINE = "fail-first/2"
+PINNED_ENGINE = "fail-first/3"
 # Each instance's verdict, which the theorems fix, and the node count and
 # witness digest it takes under PINNED_ENGINE.
 INSTANCES = {
@@ -44,6 +46,7 @@ INSTANCES = {
     "K12/strict/b9": ("unsat", 429_798, None),
     "K10/relaxed/b6": ("sat", 16_776,
                        "6996e0b5164c7c4547cf40273d9608d051194bed71f67fe5f503f20c98d66335"),
+    "K9/saonly/b5": ("unsat", 53_866, None),
 }
 
 

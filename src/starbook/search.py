@@ -22,19 +22,22 @@ cannot take; and `near[p]`, the edges at some vertex it touches.  A
 page blocks an edge whose ends it both touches and an edge at a leaf (a
 vertex whose one page edge goes to a centre with two or more); a disk
 page also blocks the chords crossing its edges.  The cross-cap page
-keeps those chords apart instead, as `cap_cross`.  One running integer,
-`slack`, the vertices untouched by each page summed over the pages
-minus the empty pages, is the most edges the pages can still take.
-Putting an edge on a page updates all of these in a few bitset
-operations; every page set only grows, so a search node holds the
-page's old values, `slack`, `cap_cross` and `counts` (below) in locals
-and puts them back.  Whether page p can take edge i is then the one bit test
-`blocked[p]`, except on the cross-cap page when chord i is in
-`cap_cross`: there the engine
-applies `verify`'s pairwise rule to its flagged chords (those crossing
-some chord of the page; no two may be parallel), and
-`verify.crosscap_page_valid` must confirm every rejection; the engine
-remembers the pages it has confirmed, so each is confirmed once.
+keeps those chords apart instead, as `cap_cross`.  The vertex bitset
+`lonely` (vertex v as bit v) holds the vertices of degree above the
+page count that no page on the search path has made a centre or an end
+of a lone edge, and the running integer `slack`, the vertices untouched
+by each page summed over the pages less max(empty pages, |lonely|), is
+the most edges the pages can still take (see Pruning).  Putting an edge
+on a page updates all of these in a few bitset operations; every page
+set only grows and `lonely` only shrinks, so a search node holds the
+page's old values, `slack`, `cap_cross`, `lonely` and `counts` (below)
+in locals and puts them back.  Whether page p can take edge i is then
+the one bit test `blocked[p]`, except on the cross-cap page when chord
+i is in `cap_cross`: there the engine applies `verify`'s pairwise rule
+to its flagged chords (those crossing some chord of the page; no two
+may be parallel), and `verify.crosscap_page_valid` must confirm every
+rejection; the engine remembers the pages it has confirmed, so each is
+confirmed once.
 
 An edge's page count is read from the `blocked` bits alone: the open
 disk pages and the cross-cap page that do not block it, plus the first
@@ -44,12 +47,33 @@ count).  Putting an edge on a page adds the edges it newly blocks with
 a ripple carry, and finding the least page count over the unassigned
 edges reads the slices once, from the high bit down.
 
-Pruning: a counting bound from the fact that distinct stars of a star
-forest can never merge (a page with c star components holds at most
-n - c edges), so a node whose unassigned edges outnumber `slack` is
-cut; and a node where some unassigned edge has a page count of zero is
-cut.  Both only cut nodes below which no witness exists, and the
-branching choice only reorders the tree, so the search stays complete.
+Pruning: a node whose unassigned edges outnumber `slack` is cut, and
+so is a node where some unassigned edge has a page count of zero.  Both
+only cut nodes below which no witness exists, and the branching choice
+only reorders the tree, so the search stays complete.  The first is a
+counting bound: the pages can still take at most U - max(E, L) edges,
+for U their untouched vertices, E the empty pages and L = |lonely|.
+Proof.  No edge joins two vertices a page touches, so no two components
+of a page ever merge; each edge a page goes on to take either grows a
+component by one untouched vertex or is the first edge of a new star,
+whose two ends are both untouched.  So the edges a page still takes
+are the untouched vertices it goes on to touch less the new stars it
+starts.  A lonely vertex v first touched each page it touches as a
+leaf, since an untouched vertex joins a page either as an end of a new
+lone edge (which would have taken v out of `lonely`) or as a leaf, and
+a leaf takes no second edge; so v has taken one edge on each page it
+touches, and its unassigned edges exceed its untouched pages by
+deg(v) - b > 0, for b the page count.  That is why `lonely` needs only
+the static degree test and, per new lone edge, one AND.  So some page
+that v has not touched takes two or more of v's edges, and there v is
+the centre of a star holding no edge of the page now: a new star.  A
+star has one centre, so distinct lonely vertices centre distinct new
+stars, and each empty page that takes an edge starts at least one.  An
+empty page that stays empty keeps all n of its untouched vertices and
+takes nothing, which covers the empty pages left out of the count of
+new stars.  So with s new stars, s >= L and s >= the empty pages used,
+the pages take at most U - max(E, L) edges; with L = 0 this is the
+plain bound, one new star per used empty page.
 
 Each search node is one Python call, `_Engine._rec`: most nodes have
 one child or none, so the cost of a call and of reading the engine's
@@ -103,7 +127,7 @@ from .verify import Profile, crosscap_page_valid, disk_page_valid, is_star_fores
 # Names the branching rule, pruning, page order and the spine orders that
 # optimize_order searches, which fix every node count; journal records
 # carry it.  Change it whenever a node count moves.
-ENGINE_VERSION = "fail-first/2"
+ENGINE_VERSION = "fail-first/3"
 DEFAULT_NODE_LIMIT = 10**9
 DEFAULT_TIME_LIMIT = 600.0
 # The engine's build grows about as n^4 and its crossing table as m^2; an
@@ -235,9 +259,10 @@ class _Engine:
         # (m edges) is cut to m + 1, which changes no node.  A disk page
         # opens only when an edge goes on it, so while an edge is
         # unassigned fewer than m pages are open and the first empty disk
-        # page is always there to try; and after t placements slack is at
-        # least (m+1)(n-1) - 2t >= m - t, the unassigned edges, so the
-        # counting bound never cuts.
+        # page is always there to try; no degree is above m, so `lonely`
+        # is empty, and after t placements slack is at least
+        # (m+1)(n-1) - 2t >= m - t, the unassigned edges, so the counting
+        # bound never cuts.
         self.budget = min(problem.budget, problem.graph.m + 1)
         self.geometric = problem.profile is not Profile.STAR_FORESTS_ONLY
         relaxed = problem.profile is Profile.RELAXED  # the one profile with a cross-cap page
@@ -283,7 +308,11 @@ class _Engine:
         self.mask = [0] * b  # the edges on each page
         self.blocked = [0] * b  # the edges each page cannot take (see _load)
         self.near = [0] * b  # the edges at some vertex that the page touches
-        self.slack = b * (self.n - 1)  # untouched vertices over all pages - empty pages
+        # lonely: the vertices of degree above b (see the module docstring).
+        degree = Counter(v for e in edges for v in e)
+        self.lonely = sum(1 << v for v, d in degree.items() if d > b)
+        # untouched vertices over all pages - max(empty pages, |lonely|)
+        self.slack = b * self.n - max(b, self.lonely.bit_count())
         self.cap_cross = 0  # the chords crossing some edge of the cross-cap page
         # counts[j]: the edges whose count of pages blocking them has bit j
         # set (see _rec); a count is at most b.  slices: the j, high bit first.
@@ -364,20 +393,23 @@ class _Engine:
         edges among them) and every edge at a leaf, a vertex whose one page
         edge goes to a centre with two or more.  A disk page also blocks the
         chords crossing its edges; on the cross-cap page they go to
-        `cap_cross`.  `near[p]` becomes the edges at a touched vertex,
-        `slack` gains 1 minus the page's touched vertices, and the edges it
-        blocks are added to `counts` with one ripple carry, into a new list
-        as `_rec` does.
+        `cap_cross`.  `near[p]` becomes the edges at a touched vertex, the
+        page's centres and lone-edge ends (every touched vertex but its
+        leaves) leave `lonely`, `slack` is recomputed from the untouched
+        vertices and the two maxima, and the edges the page blocks are added
+        to `counts` with one ripple carry, into a new list as `_rec` does.
         """
         inc = self.inc
         deg = Counter(v for e in edges for v in e)
-        mask = cross = near = blocked = 0
+        mask = cross = near = blocked = leaves = 0
         for u, v in edges:
             i = self.all_edges.index((u, v))
             mask |= 1 << i
             cross |= self.conflict[i]
             if deg[u] + deg[v] > 2:  # not a lone edge, so its end of degree 1 is a leaf
-                blocked |= inc[u] if deg[u] == 1 else inc[v]
+                leaf = u if deg[u] == 1 else v
+                blocked |= inc[leaf]
+                leaves |= 1 << leaf
         for v in deg:
             blocked |= inc[v] & near  # the edges joining v to a vertex before it
             near |= inc[v]
@@ -385,8 +417,11 @@ class _Engine:
             self.cap_cross |= cross
         else:
             blocked |= cross
+        empty, lonely = self.mask.count(0), self.lonely
+        untouched = self.slack + max(empty, lonely.bit_count()) - len(deg)
+        self.lonely = lonely = lonely & ~(sum(1 << v for v in deg) ^ leaves)
         self.mask[p], self.blocked[p], self.near[p] = mask, blocked, near
-        self.slack += 1 - len(deg)
+        self.slack = untouched - max(empty - 1, lonely.bit_count())
         counts = self.counts[:]
         carry, j = blocked, 0
         while carry:
@@ -406,10 +441,11 @@ class _Engine:
         and the rest are empty, in one Python frame.
 
         The limits are read only when the node count reaches `checkpoint`
-        (see `__init__`).  Then come the counting bound and the branched
-        edge: the unassigned edge with the fewest pages left, ties by
-        static rank.  Its pages left are those the loop below would try
-        without the cross-cap rule: the open disk pages and the
+        (see `__init__`).  Then come the counting bound, the unassigned
+        edges against `slack` (proved in the module docstring), and the
+        branched edge: the unassigned edge with the fewest pages left,
+        ties by static rank.  Its pages left are those the loop below
+        would try without the cross-cap rule: the open disk pages and the
         cross-cap page whose `blocked` bit is clear, plus the first empty
         disk page, which every edge has alike.  An empty page blocks
         nothing, so the fewest pages left is the most pages blocking the
@@ -421,8 +457,13 @@ class _Engine:
         `_cap_feasible` accepts.  Each page the edge may take gets it
         inline, its state updated by the blocking rule that `_load`
         states, and then the child's recursion; the page's old values,
-        `slack`, `cap_cross` and `counts` are held in locals and put back
-        when the child fails.
+        `slack`, `cap_cross`, `lonely` and `counts` are held in locals and
+        put back when the child fails.  Only a new lone edge can change
+        `lonely` (its two ends leave it) or the count of empty pages, so
+        only there, while `lonely` is non-zero, is `slack` recomputed from
+        the untouched vertices and the two maxima; otherwise a new lone
+        edge takes 2 untouched vertices and gives back 1 when it opens a
+        page.
         """
         nodes = self.nodes = self.nodes + 1
         if depth > self.max_depth:
@@ -458,7 +499,7 @@ class _Engine:
         ends = inc_u | inc_v
         crossing = self.conflict[i]
         mask, blocked, near = self.mask, self.blocked, self.near
-        cap, cap_cross = self.cap_idx, self.cap_cross
+        cap, cap_cross, lonely = self.cap_idx, self.cap_cross, self.lonely
         for p, below in self.tried[opened]:
             old = blocked[p]
             if old & bit:
@@ -472,7 +513,13 @@ class _Engine:
             if not at:  # a new lone edge
                 new = old | ends & was_near | bit
                 near[p] = was_near | ends
-                self.slack = slack + (not page) - 2
+                if lonely:
+                    empty = self.disks - opened + (cap >= 0 and not mask[cap])
+                    left = self.lonely = lonely & ~(1 << u | 1 << v)
+                    self.slack = (slack + max(empty, lonely.bit_count()) - 2
+                                  - max(empty - (not page), left.bit_count()))
+                else:
+                    self.slack = slack + (not page) - 2
             else:  # the untouched end becomes a leaf
                 touched, at_leaf = (u, inc_v) if at & inc_u else (v, inc_u)
                 new = old | at_leaf
@@ -500,6 +547,7 @@ class _Engine:
                 return True
             mask[p], blocked[p], near[p] = page, old, was_near
             self.slack, self.cap_cross, self.counts = slack, cap_cross, counts
+            self.lonely = lonely
         return False
 
     def extract_layout(self) -> BookLayout:
