@@ -28,9 +28,9 @@ from .verify import (
 from .construct import (
     BoundsSummary,
     StrictLayoutUnavailable,
-    bounds,
     complete_graph,
     cycle_power,
+    edge_count_bounds,
     minus_edge,
     octahedron,
     octahedron_pages,
@@ -41,11 +41,9 @@ from .construct import (
     strict_literal,
 )
 from .search import (
-    ExactValueResult,
     SearchOutcome,
     SearchProblem,
     canonical_orders,
-    exact_value,
     solve,
 )
 
@@ -58,11 +56,10 @@ __all__ = [
     "CrossCapSplit", "Profile", "StarForestCheck", "VerificationReport",
     "Violation", "crosscap_page_valid", "disk_page_valid", "is_star_forest",
     "verify_layout",
-    "BoundsSummary", "StrictLayoutUnavailable", "bounds", "complete_graph",
-    "cycle_power", "minus_edge", "octahedron", "octahedron_pages",
-    "odd_extension", "relaxed_complete", "star_pages", "strict_complete",
-    "strict_literal",
-    "ExactValueResult", "SearchOutcome", "SearchProblem", "canonical_orders",
-    "exact_value", "solve",
+    "BoundsSummary", "StrictLayoutUnavailable", "complete_graph",
+    "cycle_power", "edge_count_bounds", "minus_edge", "octahedron",
+    "octahedron_pages", "odd_extension", "relaxed_complete", "star_pages",
+    "strict_complete", "strict_literal",
+    "SearchOutcome", "SearchProblem", "canonical_orders", "solve",
     "__version__",
 ]

@@ -28,6 +28,7 @@ from .search import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIME_LIMIT,
     ENGINE_VERSION,
+    MAX_ORDER_VERTICES,
     SearchProblem,
     solve,
 )
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--profile", choices=sorted(_PROFILES), default="strict")
     p.add_argument("--optimize-order", action="store_true",
-                   help="search all spine orders up to symmetry (n <= 9)")
+                   help=f"search all spine orders up to symmetry (n <= {MAX_ORDER_VERTICES})")
     p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT)
     p.add_argument("--out", help="write the SAT certificate here")

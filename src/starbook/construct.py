@@ -328,34 +328,23 @@ def construct(scheme: str, n: int | None = None, r: int | None = None) -> tuple[
 class BoundsSummary:
     """Closed-form lower bounds for a graph (complete-graph extras optional)."""
 
-    n: int
-    m: int
     sa_lower: int | None
     bt_lower: int | None
-    arboricity: int | None
     strict_lower: int | None
-
-
-def bounds(g: SimpleGraph) -> BoundsSummary:
-    """The lower bounds of edge_count_bounds for graph g."""
-    return edge_count_bounds(g.n, g.m)
 
 
 def edge_count_bounds(n: int, m: int) -> BoundsSummary:
     """Edge-count lower bounds for a graph with n vertices and m edges:
     book thickness for n >= 4, and for complete graphs (m = n(n-1)/2)
-    also star arboricity, arboricity and the strict page count n - 1:
-    the convex K_n cannot be split into fewer noncrossing star forests
-    (Pach, Saghafian and Schnider, GD 2023)."""
+    also star arboricity and the strict page count n - 1: the convex K_n
+    cannot be split into fewer noncrossing star forests (Pach, Saghafian
+    and Schnider, GD 2023)."""
     bt_lower = None
     if n >= 4:
         bt_lower = max(0, math.ceil((m - n) / (n - 3)))
     sa_lower = None
-    arboricity = None
     strict_lower = None
     if m == n * (n - 1) // 2:
         sa_lower = n - 1 if n <= 3 else 1 + math.ceil(n / 2)
-        arboricity = 0 if n <= 1 else math.ceil(n / 2)
         strict_lower = n - 1
-    return BoundsSummary(n=n, m=m, sa_lower=sa_lower, bt_lower=bt_lower,
-                         arboricity=arboricity, strict_lower=strict_lower)
+    return BoundsSummary(sa_lower=sa_lower, bt_lower=bt_lower, strict_lower=strict_lower)

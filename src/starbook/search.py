@@ -133,6 +133,8 @@ DEFAULT_TIME_LIMIT = 600.0
 # The engine's build grows about as n^4 and its crossing table as m^2; an
 # exact search is out of reach long before this many vertices.
 MAX_SEARCH_VERTICES = 64
+# canonical_orders yields (n-1)!/2 orders: 20,160 at n = 9.
+MAX_ORDER_VERTICES = 9
 
 
 @dataclass(frozen=True)
@@ -168,8 +170,8 @@ class SearchProblem:
                 raise ValueError("optimize_order requires the order to be unset")
             if self.profile is Profile.STAR_FORESTS_ONLY:
                 raise ValueError("order optimization is pointless without geometry")
-            if self.graph.n > 9:
-                raise ValueError("order optimization is limited to n <= 9")
+            if self.graph.n > MAX_ORDER_VERTICES:
+                raise ValueError(f"order optimization is limited to n <= {MAX_ORDER_VERTICES}")
         if self.order is not None and not self.order.is_permutation_of(self.graph.n):
             raise ValueError("order must be a permutation of the graph's vertices")
         # Fixed page p is disk page p, so the cross-cap page is never fixed.
@@ -563,8 +565,8 @@ class _Engine:
 def canonical_orders(n: int):
     """Circular orders up to rotation and reflection: vertex 1 first and
     the forward reading lexicographically no larger than the reversed."""
-    if n > 9:
-        raise ValueError("order enumeration is limited to n <= 9")
+    if n > MAX_ORDER_VERTICES:
+        raise ValueError(f"order enumeration is limited to n <= {MAX_ORDER_VERTICES}")
     if n <= 2:
         yield identity_order(n)
         return
@@ -665,47 +667,3 @@ def solve(problem: SearchProblem) -> SearchOutcome:
                 )
             return SearchOutcome("sat", layout, nodes, max_depth, time.monotonic() - start)
     return SearchOutcome("unsat", None, nodes, max_depth, time.monotonic() - start)
-
-
-@dataclass(frozen=True)
-class ExactValueResult:
-    status: str  # "resolved" | "all_unsat" | "aborted"
-    k_star: int | None
-    witness: BookLayout | None
-    unsat_below: SearchOutcome | None
-
-
-def exact_value(
-    graph: SimpleGraph,
-    profile: Profile,
-    lo: int,
-    hi: int,
-    order: CircularOrder | None = None,
-    optimize_order: bool = False,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    time_limit: float = DEFAULT_TIME_LIMIT,
-) -> ExactValueResult:
-    """Least satisfiable budget in [lo, hi] with witness and UNSAT stats.
-
-    Scans budgets upward so that the exhaustion proof at k*-1 falls out
-    of the scan; any abort propagates as an aborted result.
-    """
-    if lo > hi:
-        raise ValueError("empty budget range")
-    below: SearchOutcome | None = None
-    for k in range(lo, hi + 1):
-        outcome = solve(SearchProblem(
-            graph=graph,
-            budget=k,
-            profile=profile,
-            order=order,
-            optimize_order=optimize_order,
-            node_limit=node_limit,
-            time_limit=time_limit,
-        ))
-        if outcome.status == "aborted":
-            return ExactValueResult("aborted", None, None, below)
-        if outcome.status == "sat":
-            return ExactValueResult("resolved", k, outcome.layout, below)
-        below = outcome
-    return ExactValueResult("all_unsat", None, None, below)

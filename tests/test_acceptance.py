@@ -17,13 +17,12 @@ from starbook import (
     Profile,
     SearchProblem,
     StrictLayoutUnavailable,
-    bounds,
     complete_graph,
     crosscap_page,
     crosscap_page_valid,
     disk_page,
     disk_page_valid,
-    exact_value,
+    edge_count_bounds,
     identity_order,
     is_star_forest,
     octahedron,
@@ -140,19 +139,16 @@ def test_criterion_4_strict_upper_bound_witnesses():
 
 def test_criterion_5_exact_small_values():
     t0 = time.time()
-    # sabt(K_4) = 3 and sabt(K_5) = 4, minimized over all spine orders.
-    r4 = exact_value(complete_graph(4), Profile.STRICT, 2, 4, optimize_order=True)
-    assert r4.k_star == 3 and r4.unsat_below is not None
-    r5 = exact_value(complete_graph(5), Profile.STRICT, 3, 5, optimize_order=True)
-    assert r5.k_star == 4 and r5.unsat_below is not None
-
-    # Star arboricity via the pure star-forest profile.
-    for n in (4, 5, 6, 7):
-        want = 1 + (n + 1) // 2
-        res = exact_value(complete_graph(n), Profile.STAR_FORESTS_ONLY,
-                          want - 1, want)
-        assert res.k_star == want, (n, res)
-        assert res.unsat_below is not None and res.unsat_below.status == "unsat"
+    # sabt(K_4) = 3 and sabt(K_5) = 4, minimized over all spine orders, and
+    # the star arboricity of K_4..K_7 via the pure star-forest profile: each
+    # value k is UNSAT at k - 1 pages and SAT at k.
+    cases = [(4, Profile.STRICT, 3, True), (5, Profile.STRICT, 4, True)]
+    cases += [(n, Profile.STAR_FORESTS_ONLY, 1 + (n + 1) // 2, False) for n in (4, 5, 6, 7)]
+    for n, profile, want, optimize_order in cases:
+        statuses = [solve(SearchProblem(complete_graph(n), k, profile,
+                                        optimize_order=optimize_order)).status
+                    for k in (want - 1, want)]
+        assert statuses == ["unsat", "sat"], (n, profile, want, statuses)
 
     # Relaxed K_6: 3 pages exhausted, 4 satisfiable; certificates deterministic.
     unsat = solve(SearchProblem(complete_graph(6), 3, Profile.RELAXED,
@@ -201,7 +197,8 @@ def test_criterion_7_octahedron():
         assert len(layout.pages) == r, r
         assert verify_layout(layout, Profile.STRICT).passed, r
     for r in range(4, 65):
-        assert bounds(octahedron(r)).bt_lower == r, r
+        o = octahedron(r)
+        assert edge_count_bounds(o.n, o.m).bt_lower == r, r
     elapsed = time.time() - t0
     _line(7, True, f"octahedron pages optimal for r in [4,64], verified to r=64; {elapsed:.1f}s")
 

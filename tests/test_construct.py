@@ -4,9 +4,9 @@ from starbook import (
     Profile,
     SearchProblem,
     StrictLayoutUnavailable,
-    bounds,
     complete_graph,
     cycle_power,
+    edge_count_bounds,
     identity_order,
     is_star_forest,
     minus_edge,
@@ -290,18 +290,20 @@ def test_octahedron_pages_plus_matching_tile_complete_graph():
 # --- bounds --------------------------------------------------------------------
 
 def test_bounds_examples():
-    b = bounds(complete_graph(8))
-    assert (b.sa_lower, b.bt_lower, b.arboricity, b.strict_lower) == (5, 4, 4, 7)
-    assert bounds(complete_graph(4)).strict_lower == 3  # GD 2023: n - 1
-    assert bounds(complete_graph(10)).strict_lower == 9
-    assert bounds(octahedron(4)).strict_lower is None
-    assert bounds(octahedron(4)).bt_lower == 4
-    assert bounds(complete_graph(5)).sa_lower == 4  # = n - 1
-    assert bounds(complete_graph(3)).sa_lower == 2
-    assert bounds(complete_graph(3)).bt_lower is None
-    assert bounds(complete_graph(12)).sa_lower == 7  # 1 + n/2
+    b = edge_count_bounds(8, 28)  # K_8
+    assert (b.sa_lower, b.bt_lower, b.strict_lower) == (5, 4, 7)
+    assert edge_count_bounds(4, 6).strict_lower == 3  # GD 2023: n - 1
+    assert edge_count_bounds(10, 45).strict_lower == 9
+    o = octahedron(4)
+    b = edge_count_bounds(o.n, o.m)
+    assert (b.strict_lower, b.bt_lower) == (None, 4)
+    assert edge_count_bounds(5, 10).sa_lower == 4  # = n - 1
+    assert edge_count_bounds(3, 3).sa_lower == 2
+    assert edge_count_bounds(3, 3).bt_lower is None
+    assert edge_count_bounds(12, 66).sa_lower == 7  # 1 + n/2
 
 
 @pytest.mark.parametrize("r", range(4, 65))
 def test_bounds_octahedron_equals_r(r):
-    assert bounds(octahedron(r)).bt_lower == r
+    o = octahedron(r)
+    assert edge_count_bounds(o.n, o.m).bt_lower == r

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import starbook
 from starbook import (
     CircularOrder,
     SimpleGraph,
@@ -13,6 +14,13 @@ from starbook import (
     interleaves,
 )
 from conftest import segments_cross
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from starbook import *", namespace)  # a stale name raises AttributeError
+    assert set(starbook.__all__) <= namespace.keys()
+    assert len(set(starbook.__all__)) == len(starbook.__all__)
 
 
 def test_edge_canonicalization():

@@ -17,7 +17,6 @@ from starbook import (
     complete_graph,
     cycle_power,
     edge,
-    exact_value,
     identity_order,
     interleaves,
     minus_edge,
@@ -62,8 +61,13 @@ def test_problem_invariants():
             SearchProblem(g, budget, Profile.RELAXED, order=identity_order(4),
                           fixed_pages=_main_stars(2)[:budget])
     SearchProblem(g, 3, Profile.RELAXED, order=identity_order(4), fixed_pages=_main_stars(2))
-    with pytest.raises(ValueError, match="at least one edge"):
-        SearchProblem(g, 2, Profile.STRICT, fixed_pages=((), ((1, 2),)))
+    for fixed, message in (({"fixed_pages": ((), ((1, 2),))}, "at least one edge"),
+                           ({"fixed_pages": (((1, 2),), ((1, 2),))},
+                            r"fixed edge \(1, 2\) appears twice"),
+                           ({"fixed_pages": (((1, 2),),), "optimize_order": True},
+                            "fixed pages require a fixed order")):
+        with pytest.raises(ValueError, match=message):
+            SearchProblem(g, 2, Profile.STRICT, **fixed)
     assert SearchProblem(complete_graph(64), 3, Profile.STRICT).graph.n == 64
     with pytest.raises(ValueError, match="search limit of 64"):
         SearchProblem(complete_graph(65), 3, Profile.STRICT)
@@ -106,24 +110,27 @@ def test_solve_strict_k6_budget5():
     assert out.status == "sat" and len(out.layout.pages) <= 5
 
 
-def test_exact_value_examples():
-    r = exact_value(complete_graph(5), Profile.STRICT, 3, 5, order=identity_order(5))
-    assert r.status == "resolved" and r.k_star == 4
-    assert r.unsat_below is not None and r.unsat_below.status == "unsat"
+def _least_sat_budget(graph, profile, lo, hi, order=None):
+    """Solve budgets lo, lo+1, ... up to hi and return the first SAT one,
+    or None; every budget below it must be UNSAT."""
+    for k in range(lo, hi + 1):
+        status = solve(SearchProblem(graph, k, profile, order=order)).status
+        if status == "sat":
+            return k
+        assert status == "unsat", (graph, profile, k, status)
+    return None
 
-    r = exact_value(complete_graph(7), Profile.STAR_FORESTS_ONLY, 4, 6)
-    assert r.k_star == 5  # 1 + ceil(7/2)
 
-    r = exact_value(octahedron(3), Profile.STRICT, 2, 4, order=identity_order(6))
-    assert r.k_star == 3
+def test_least_sat_budget_examples():
+    assert _least_sat_budget(complete_graph(5), Profile.STRICT, 3, 5, identity_order(5)) == 4
+    # 1 + ceil(7/2)
+    assert _least_sat_budget(complete_graph(7), Profile.STAR_FORESTS_ONLY, 4, 6) == 5
+    assert _least_sat_budget(octahedron(3), Profile.STRICT, 2, 4, identity_order(6)) == 3
     assert len(octahedron_pages(3).pages) == 3  # the witness construction agrees
 
 
-def test_exact_value_all_unsat_and_bad_range():
-    r = exact_value(complete_graph(4), Profile.STAR_FORESTS_ONLY, 1, 2)
-    assert r.status == "all_unsat" and r.k_star is None
-    with pytest.raises(ValueError):
-        exact_value(complete_graph(4), Profile.STRICT, 3, 2)
+def test_least_sat_budget_all_unsat():
+    assert _least_sat_budget(complete_graph(4), Profile.STAR_FORESTS_ONLY, 1, 2) is None
 
 
 def test_completeness_vs_naive_oracle_on_k5(k5_star_forest_table):
@@ -173,9 +180,8 @@ def test_profile_ordering(graph):
     o = identity_order(graph.n)
     ks = {}
     for profile in (Profile.STRICT, Profile.RELAXED, Profile.STAR_FORESTS_ONLY):
-        r = exact_value(graph, profile, 1, graph.n,
-                        order=None if profile is Profile.STAR_FORESTS_ONLY else o)
-        ks[profile] = r.k_star
+        ks[profile] = _least_sat_budget(graph, profile, 1, graph.n,
+                                        None if profile is Profile.STAR_FORESTS_ONLY else o)
     assert ks[Profile.STRICT] >= ks[Profile.RELAXED] >= ks[Profile.STAR_FORESTS_ONLY]
 
 
@@ -354,8 +360,12 @@ def test_engine_crosscap_rule_matches_verifier(n, shuffled):
     problem = SearchProblem(complete_graph(n), 2, Profile.RELAXED, order=order)
     engine = _Engine(problem, order, node_budget=0, deadline=0.0)
     cap = engine.cap_idx
-    empty = engine.mask[cap], engine.blocked[cap], engine.near[cap]
-    slack, cap_cross, lonely, counts = engine.slack, engine.cap_cross, engine.lonely, engine.counts
+
+    def snapshot(state):  # the lists copied, so that no probe writes into them
+        return {name: value.copy() if isinstance(value, list) else value
+                for name, value in state.items()}
+
+    fresh = snapshot(vars(engine))
     seen = set()
     for chords in star_forest_edge_sets(n):
         want = crosscap_page_valid(order, crosscap_page(chords))[0]
@@ -368,9 +378,7 @@ def test_engine_crosscap_rule_matches_verifier(n, shuffled):
             i = engine.all_edges.index(e)
             got = not engine.blocked[cap] >> i & 1 and (
                 not engine.cap_cross >> i & 1 or engine._cap_feasible(i))
-            engine.mask[cap], engine.blocked[cap], engine.near[cap] = empty
-            engine.slack, engine.cap_cross, engine.lonely, engine.counts = (
-                slack, cap_cross, lonely, counts)
+            vars(engine).update(snapshot(fresh))
             assert got == want, (chords, e)
             seen.add(got)
     assert seen == {True, False}
@@ -911,12 +919,9 @@ def test_repair_with_fixed_pages_r3():
 
 def test_cycle_power_spot_checks():
     # k+1 dividing n gives k+1 star-forest pages in a strict layout.
-    r = exact_value(cycle_power(6, 1), Profile.STRICT, 1, 3, order=identity_order(6))
-    assert r.k_star == 2
-    r = exact_value(cycle_power(6, 2), Profile.STRICT, 2, 4, order=identity_order(6))
-    assert r.k_star == 3
-    r = exact_value(cycle_power(8, 1), Profile.STRICT, 1, 3, order=identity_order(8))
-    assert r.k_star == 2
+    assert _least_sat_budget(cycle_power(6, 1), Profile.STRICT, 1, 3, identity_order(6)) == 2
+    assert _least_sat_budget(cycle_power(6, 2), Profile.STRICT, 2, 4, identity_order(6)) == 3
+    assert _least_sat_budget(cycle_power(8, 1), Profile.STRICT, 1, 3, identity_order(8)) == 2
 
 
 def test_sat_layout_respects_profile_kinds():
