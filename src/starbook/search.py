@@ -47,12 +47,13 @@ count).  Putting an edge on a page adds the edges it newly blocks with
 a ripple carry, and finding the least page count over the unassigned
 edges reads the slices once, from the high bit down.
 
-Pruning: a node whose unassigned edges outnumber `slack` is cut, and
-so is a node where some unassigned edge has a page count of zero.  Both
-only cut nodes below which no witness exists, and the branching choice
-only reorders the tree, so the search stays complete.  The first is a
-counting bound: the pages can still take at most U - max(E, L) edges,
-for U their untouched vertices, E the empty pages and L = |lonely|.
+Pruning: a node whose unassigned edges outnumber `slack` is cut, so is
+a node that fails the packing bound below, and so is a node where some
+unassigned edge has a page count of zero.  All three only cut nodes
+below which no witness exists, and the branching choice only reorders
+the tree, so the search stays complete.  The first is a counting
+bound: the pages can still take at most U - max(E, L) edges, for U
+their untouched vertices, E the empty pages and L = |lonely|.
 Proof.  No edge joins two vertices a page touches, so no two components
 of a page ever merge; each edge a page goes on to take either grows a
 component by one untouched vertex or is the first edge of a new star,
@@ -75,11 +76,38 @@ new stars.  So with s new stars, s >= L and s >= the empty pages used,
 the pages take at most U - max(E, L) edges; with L = 0 this is the
 plain bound, one new star per used empty page.
 
+The second is a packing bound on the lonely vertices' stars.  Let R be
+the unassigned edges, U_p the untouched vertices of page p and K the
+least deg(v) - b + 2 over the vertices of degree above b, fixed at the
+build as `star_size`.  A node is cut when 2L + R - U > 0 and the sum
+over the pages of floor(U_p / K) is less than 2L + R - U.  Proof.  By
+the count above, the new stars number s = (the untouched vertices the
+pages go on to touch) - R <= U - R.  Each lonely vertex v centres new
+stars on c_v >= 1 pages, and distinct lonely vertices centre distinct
+stars, so the sum of c_v - 1 is at most U - R - L, and at least
+2L + R - U lonely vertices have c_v = 1.  Such a vertex has one edge on
+each page it has touched, and at most one on each other page where it
+is not a centre (two edges at a vertex of a star forest make it the
+centre of their star), so its one star has deg(v) - b + 1 or more
+leaves and K or more vertices.  Its centre is untouched on that page,
+and so is each leaf, whose one edge there is the star's; and the stars
+of one page share no vertex.  So page p holds at most floor(U_p / K) of
+these stars, which is the bound.  For odd n >= 5 it proves Akiyama and
+Kano's count at the root, that K_n needs (n+1)/2 + 1 star forests: at
+b = (n+1)/2 every vertex is lonely, the need is n, K = b and each page
+holds one star.  The engine evaluates the bound only while `lonely` is
+non-zero (at 6 of the 429,798 nodes of strict K_12 at budget 9 and at
+1,141 of the 16,776 of relaxed K_10 at budget 6), and counts each
+page's untouched vertices from `mask` (`_packing_cuts`) only where the
+need is positive (6 of those 1,141 nodes).  A replayed search that
+checks its leaves would check this one as a third kind of leaf, beside
+a dead edge and the counting bound.
+
 Each search node is one Python call, `_Engine._rec`: most nodes have
 one child or none, so the cost of a call and of reading the engine's
 attributes is most of a node's cost.  The node reads its limits at one
 checkpoint (the next node count at which the node budget runs out or
-the clock is due, every 4,096 nodes), applies both prunes, picks its
+the clock is due, every 4,096 nodes), applies the prunes, picks its
 edge from the slices, and puts the edge on each page it tries inline,
 reading the edge's tables once.  A probe of the cross-cap page with a
 chord in `cap_cross` checks only the chords it newly flags, since the
@@ -127,7 +155,7 @@ from .verify import Profile, crosscap_page_valid, disk_page_valid, is_star_fores
 # Names the branching rule, pruning, page order and the spine orders that
 # optimize_order searches, which fix every node count; journal records
 # carry it.  Change it whenever a node count moves.
-ENGINE_VERSION = "fail-first/3"
+ENGINE_VERSION = "fail-first/4"
 DEFAULT_NODE_LIMIT = 10**9
 DEFAULT_TIME_LIMIT = 600.0
 # The engine's build grows about as n^4 and its crossing table as m^2; an
@@ -313,6 +341,9 @@ class _Engine:
         # lonely: the vertices of degree above b (see the module docstring).
         degree = Counter(v for e in edges for v in e)
         self.lonely = sum(1 << v for v, d in degree.items() if d > b)
+        # The fewest vertices of the one new star of a lonely vertex that
+        # centres no other (see the module docstring); 0 when none is lonely.
+        self.star_size = min((d - b + 2 for d in degree.values() if d > b), default=0)
         # untouched vertices over all pages - max(empty pages, |lonely|)
         self.slack = b * self.n - max(b, self.lonely.bit_count())
         self.cap_cross = 0  # the chords crossing some edge of the cross-cap page
@@ -433,6 +464,20 @@ class _Engine:
             j += 1
         self.counts = counts
 
+    def _packing_cuts(self, unassigned: int, opened: int) -> bool:
+        """Whether the packing bound of the module docstring cuts this node,
+        where `lonely` is non-zero: the need 2L + R - U is positive and
+        exceeds the sum over the pages of floor(U_p / `star_size`), for U_p
+        the vertices page p leaves untouched, counted from `mask`.  `_rec`
+        calls it, so its own frame holds none of these counts."""
+        mask, cap, many = self.mask, self.cap_idx, self.lonely.bit_count()
+        empty = self.disks - opened + (cap >= 0 and not mask[cap])
+        need = 2 * many + unassigned.bit_count() - self.slack - max(empty, many)
+        if need <= 0:
+            return False
+        at, size = self.inc[1:], self.star_size  # the edges at each vertex
+        return sum([edges & page for edges in at].count(0) // size for page in mask) < need
+
     # search -------------------------------------------------------------
 
     def run(self) -> bool:
@@ -453,19 +498,21 @@ class _Engine:
         nothing, so the fewest pages left is the most pages blocking the
         edge, read from the bit-sliced `counts` from the high bit down;
         when that is every page, no disk page is empty and the edge has no
-        page left, so the node is cut.  The cross-cap page takes a chord in
-        `cap_cross` when no page chord outside `cap_cross` crosses it and
-        no flagged chord is parallel to it, and otherwise when
-        `_cap_feasible` accepts.  Each page the edge may take gets it
-        inline, its state updated by the blocking rule that `_load`
-        states, and then the child's recursion; the page's old values,
-        `slack`, `cap_cross`, `lonely` and `counts` are held in locals and
-        put back when the child fails.  Only a new lone edge can change
-        `lonely` (its two ends leave it) or the count of empty pages, so
-        only there, while `lonely` is non-zero, is `slack` recomputed from
-        the untouched vertices and the two maxima; otherwise a new lone
-        edge takes 2 untouched vertices and gives back 1 when it opens a
-        page.
+        page left, so the node is cut.  Most strict nodes end there, so
+        the packing bound (also proved in the module docstring) comes
+        after it, tested only while `lonely` is non-zero.  The cross-cap
+        page takes a chord in `cap_cross` when no page chord outside
+        `cap_cross` crosses it and no flagged chord is parallel to it,
+        and otherwise when `_cap_feasible` accepts.  Each page the edge
+        may take gets it inline, its state updated by the blocking rule
+        that `_load` states, and then the child's recursion; the page's
+        old values, `slack`, `cap_cross`, `lonely` and `counts` are held
+        in locals and put back when the child fails.  Only a new lone edge
+        can change `lonely` (its two ends leave it) or the count of empty
+        pages, so only there, while `lonely` is non-zero, is `slack`
+        recomputed from the untouched vertices and the two maxima;
+        otherwise a new lone edge takes 2 untouched vertices and gives
+        back 1 when it opens a page.
         """
         nodes = self.nodes = self.nodes + 1
         if depth > self.max_depth:
@@ -491,6 +538,8 @@ class _Engine:
                 top |= 1 << j
         if top == self.budget:
             return False  # every page blocks this edge, so no disk page is empty
+        if self.lonely and self._packing_cuts(unassigned, opened):
+            return False
         bit = most & -most
         i = bit.bit_length() - 1
         rest = unassigned ^ bit

@@ -309,11 +309,16 @@ _PINNED_TRAVERSALS = {
     "K9/relaxed-cap/b5": (
         lambda: SearchProblem(complete_graph(9), 5, Profile.RELAXED, order=identity_order(9),
                               crosscap_allowed=True),
-        "unsat", 1_362, None),
+        "unsat", 1, None),
     # st(K_9) = 6 (Akiyama and Kano, 1985).
     "K9/saonly/b5": (
         lambda: SearchProblem(complete_graph(9), 5, Profile.STAR_FORESTS_ONLY),
-        "unsat", 53_866, None),
+        "unsat", 1, None),
+    # The packing bound cuts 18 nodes below the root here, and evaluates
+    # without cutting at 1,402 more.
+    "K7-e/saonly/b4": (
+        lambda: SearchProblem(minus_edge(complete_graph(7), (1, 2)), 4, Profile.STAR_FORESTS_ONLY),
+        "unsat", 2_701, None),
     # The benchmark's largest cross-cap search.
     "K10/relaxed-cap/b6": (
         lambda: SearchProblem(complete_graph(10), 6, Profile.RELAXED, order=identity_order(10)),
@@ -340,6 +345,20 @@ def test_star_arboricity_bound_cuts_k2r_at_the_root(r, profile):
     and are lonely against r empty pages, so the pages can take at most
     2r*r - 2r < r(2r - 1) edges, Akiyama and Kano's count."""
     out = solve(SearchProblem(complete_graph(2 * r), r, profile))
+    assert (out.status, out.nodes) == ("unsat", 1)
+
+
+@pytest.mark.parametrize("profile", list(Profile))
+@pytest.mark.parametrize("r", range(2, 7))
+def test_packing_bound_cuts_k2r_plus_1_at_the_root(r, profile):
+    """K_2r+1 at budget r+1: the plain counting bound leaves room for all
+    r(2r+1) edges, but each of the 2r+1 lonely vertices has degree 2r, so
+    the need 2L + R - U is 2(2r+1) + r(2r+1) - (r+1)(2r+1) = 2r+1, a
+    lonely vertex's one new star has at least 2r - (r+1) + 2 = r+1
+    vertices, and the r+1 empty pages of 2r+1 vertices each fit one such
+    star: r+1 < 2r+1, Akiyama and Kano's count for odd n.  The node limit
+    makes a search that misses the cut abort at once."""
+    out = solve(SearchProblem(complete_graph(2 * r + 1), r + 1, profile, node_limit=1))
     assert (out.status, out.nodes) == ("unsat", 1)
 
 
@@ -446,16 +465,20 @@ class _CheckedEngine(_Engine):
     with a plain loop over the pages, as `_rec` tries them but without
     the cross-cap rule.  The edge placed on the way to each child, read
     as the parent's unassigned edges less the child's, must be the
-    parent's edge of least count, ties by static rank (its bit index),
-    and a node where some edge has a count of zero must be cut without a
-    child.  The count of open disk
-    pages passed down the recursion must be the number of non-empty disk
-    pages, and those must be exactly the pages before it.  The cross-cap
-    page must pass `verify.crosscap_page_valid` at every node, so every
-    probe the engine accepts, inline in `_rec` or by `_cap_feasible`, is
-    checked against the verifier.  The build is checked once: the static
-    rank, and each chord's `conflict` set against the chords
-    `segments_cross` finds crossing it."""
+    parent's edge of least count, ties by static rank (its bit index).
+    The packing bound is recomputed from the reference pages' untouched
+    vertex counts, the lonely vertices found as above and the degrees,
+    and a node must have a child exactly when no prune cuts it (the
+    counting bound, the packing bound, an edge with a count of zero) and
+    the branched edge has a page that takes it: a disk page, or the
+    cross-cap page when the verifier accepts it with the edge.  The count
+    of open disk pages passed down the recursion must be the number of
+    non-empty disk pages, and those must be exactly the pages before it.
+    The cross-cap page must pass `verify.crosscap_page_valid` at every
+    node, so every probe the engine accepts, inline in `_rec` or by
+    `_cap_feasible`, is checked against the verifier.  The build is
+    checked once: the static rank, and each chord's `conflict` set
+    against the chords `segments_cross` finds crossing it."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -465,6 +488,9 @@ class _CheckedEngine(_Engine):
         self.ended = []  # the vertices a centre or lone-edge end so far, per node on the path
         degree = Counter(v for e in self.problem.graph.edges for v in e)
         self.high = {v for v, d in degree.items() if d > self.budget}
+        # The fewest vertices of a lonely vertex's one new star: itself and
+        # its edges less one per other page.
+        self.least_star = min((degree[v] - self.budget + 2 for v in self.high), default=None)
         fixed = {e for page in self.problem.fixed_pages for e in page}
         free = [e for e in self.all_edges if e not in fixed]
 
@@ -505,8 +531,7 @@ class _CheckedEngine(_Engine):
                                          touched.keys() - leaves)
         return self.reference_pages[key]
 
-    def cap_valid(self):
-        mask = self.mask[self.cap_idx]
+    def cap_valid(self, mask):
         if mask not in self.valid_caps:
             page = crosscap_page(e for j, e in enumerate(self.all_edges) if mask >> j & 1)
             self.valid_caps[mask] = crosscap_page_valid(self.order, page)[0]
@@ -524,6 +549,15 @@ class _CheckedEngine(_Engine):
                 counts[j] |= (count >> j & 1) << i
         return (list(self.mask), list(blocked), list(near), slack, cap_cross,
                 sum(1 << v for v in lonely), counts)
+
+    def packing_cut(self, unassigned):
+        """Whether fewer lonely vertices' stars fit the pages' untouched
+        vertices than 2L + R - U, the lonely vertices that centre one new
+        star only."""
+        free = [self.reference_page(p)[3] for p in range(self.budget)]
+        lonely = self.high - self.ended[-1]
+        need = 2 * len(lonely) + unassigned.bit_count() - sum(free)
+        return need > 0 and sum(u // self.least_star for u in free) < need
 
     def reference_counts(self, unassigned):
         """Edge index -> its page count, for each unassigned edge."""
@@ -550,7 +584,8 @@ class _CheckedEngine(_Engine):
                             *(self.reference_page(p)[4] for p in range(self.budget)))
         self.ended.append(ended)
         assert self.state() == self.reference_state()
-        assert self.cap_idx < 0 or self.cap_valid()
+        cap = self.cap_idx
+        assert cap < 0 or self.cap_valid(self.mask[cap])
         disks = [p for p in range(self.disks) if self.mask[p]]
         assert opened == len(disks) and disks == list(range(opened))
         placed = 0
@@ -561,21 +596,25 @@ class _CheckedEngine(_Engine):
         least = min(counts.values(), default=0)
         # The edge every child is reached by, or 0 where no child may be.
         bit = least and 1 << min(i for i, c in counts.items() if c == least)
-        dead = unassigned and unassigned.bit_count() <= self.slack and least == 0
+        # Some page takes the branched edge: a disk page, or else the
+        # cross-cap page as the verifier says.
+        takes = cap < 0 or least > (not self.reference_page(cap)[1] & bit) or self.cap_valid(
+            self.mask[cap] | bit)
+        child = (bool(bit) and unassigned.bit_count() <= self.slack
+                 and not self.packing_cut(unassigned) and takes)
         before = self.nodes
         self.branched.append((unassigned, bit))
         found = super()._rec(depth, unassigned, opened)
         self.branched.pop()
         self.ended.pop()
-        if dead:
-            assert not found and self.nodes == before + 1
+        assert (self.nodes > before + 1) == child
         return found
 
 
 @pytest.mark.parametrize("case", [
     "K7/strict/b5/identity", "K6/relaxed-cap/b4", "K6/saonly/b3", "K8/strict/b6/fixed-mains",
     "K8/relaxed/b6/fixed-mains", "K8/strict/b7/fixed-mains/reordered", "K9/relaxed-cap/b5",
-    "K6/strict/b4/all-orders"])
+    "K6/strict/b4/all-orders", "K7-e/saonly/b4"])
 def test_incremental_page_state_matches_recomputation(case):
     make, status, nodes, _ = _PINNED_TRAVERSALS[case]
     problem = make()
@@ -596,7 +635,8 @@ def test_incremental_page_state_matches_recomputation(case):
 class _PlainBoundEngine(_Engine):
     """The engine with `lonely` emptied after its build, so that `slack` is
     the untouched vertices less the empty pages: the counting bound
-    without the vertices that must still start a star of their own."""
+    without the vertices that must still start a star of their own.  The
+    packing bound reads only `lonely`, so it is off too."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -605,10 +645,11 @@ class _PlainBoundEngine(_Engine):
         self.lonely = 0
 
 
-def test_lonely_vertices_cut_no_witness(monkeypatch):
-    """On seeded random graphs of at most 7 vertices, under all three
+def _fewer_nodes_than(monkeypatch, plain):
+    """On 3,000 seeded random graphs of at most 7 vertices, under all three
     profiles, on random spine orders and over all orders, the engine gives
-    the verdict and the witness of the plain bound, in no more nodes."""
+    the verdict and the witness of the engine class `plain`, in no more
+    nodes; how many problems it takes in fewer."""
     rng = random.Random(26)
     fewer = 0
     for _ in range(3000):
@@ -622,7 +663,7 @@ def test_lonely_vertices_cut_no_witness(monkeypatch):
         problem = SearchProblem(graph, rng.randint(1, 5), profile, order=spine,
                                 optimize_order=optimize)
         runs = []
-        for engine in (_Engine, _PlainBoundEngine):
+        for engine in (_Engine, plain):
             monkeypatch.setattr(search, "_Engine", engine)
             out = solve(problem)
             runs.append((out.status, out.layout and certificate_digest(out.layout), out.nodes))
@@ -630,7 +671,22 @@ def test_lonely_vertices_cut_no_witness(monkeypatch):
         assert (status, digest) == (plain_status, plain_digest), problem
         assert nodes <= plain_nodes, problem
         fewer += nodes < plain_nodes
-    assert fewer  # 164 of the 3,000 problems
+    return fewer
+
+
+def test_lonely_vertices_cut_no_witness(monkeypatch):
+    assert _fewer_nodes_than(monkeypatch, _PlainBoundEngine)  # 202 of the 3,000 problems
+
+
+class _NoPackingEngine(_Engine):
+    """The engine with the packing bound off."""
+
+    def _packing_cuts(self, unassigned, opened):
+        return False
+
+
+def test_packing_bound_cuts_no_witness(monkeypatch):
+    assert _fewer_nodes_than(monkeypatch, _NoPackingEngine)  # 58 of the 3,000 problems
 
 
 # Every committed journal row, searched again: its verdict, its node count
