@@ -30,8 +30,8 @@ rule, and `_rec` is the one code that applies it.  The vertex bitset
 `lonely` (vertex v as bit v) holds the vertices of degree above the
 page count that no page on the search path has made a centre or an end
 of a lone edge, and the running integer `slack`, the vertices untouched
-by each page summed over the pages less max(empty pages, |lonely|), is
-the most edges the pages can still take (see Pruning).  Putting an edge
+by each page summed over the pages less the empty pages, is the most
+edges the pages can still take (see Pruning).  Putting an edge
 on a page updates all of these in a few bitset operations; every page
 set only grows and `lonely` only shrinks, so a search node holds the
 page's old values, `slack`, `cap_cross`, `lonely` and `counts` (below)
@@ -64,60 +64,62 @@ try.  A star forest's edges pass the blocking rule in any order, and
 fixed edge goes on; a bound may cut the node first.
 
 Pruning: a node whose unassigned edges outnumber `slack` is cut, so is
-a node that fails the packing bound below, and so is a node where some
-unassigned edge has a page count of zero.  All three only cut nodes
-below which no witness exists, and the branching choice only reorders
-the tree, so the search stays complete.  The first is a counting
-bound: the pages can still take at most U - max(E, L) edges, for U
-their untouched vertices, E the empty pages and L = |lonely|.
-Proof.  No edge joins two vertices a page touches, so no two components
-of a page ever merge; each edge a page goes on to take either grows a
-component by one untouched vertex or is the first edge of a new star,
-whose two ends are both untouched.  So the edges a page still takes
-are the untouched vertices it goes on to touch less the new stars it
-starts.  A lonely vertex v first touched each page it touches as a
-leaf, since an untouched vertex joins a page either as an end of a new
-lone edge (which would have taken v out of `lonely`) or as a leaf, and
-a leaf takes no second edge; so v has taken one edge on each page it
-touches, and its unassigned edges exceed its untouched pages by
-deg(v) - b > 0, for b the page count.  That is why `lonely` needs only
-the static degree test and, per new lone edge, one AND.  So some page
-that v has not touched takes two or more of v's edges, and there v is
-the centre of a star holding no edge of the page now: a new star.  A
-star has one centre, so distinct lonely vertices centre distinct new
-stars, and each empty page that takes an edge starts at least one.  An
-empty page that stays empty keeps all n of its untouched vertices and
-takes nothing, which covers the empty pages left out of the count of
-new stars.  So with s new stars, s >= L and s >= the empty pages used,
-the pages take at most U - max(E, L) edges; with L = 0 this is the
-plain bound, one new star per used empty page.
+a node where some unassigned edge has a page count of zero, and so is a
+node that fails the lonely-vertex bound below.  All three only cut
+nodes below which no witness exists, and the branching choice only
+reorders the tree, so the search stays complete.  The first is a
+counting bound: the pages can still take at most U - E edges, for U
+their untouched vertices and E the empty pages.  Proof.  No edge joins
+two vertices a page touches, so no two components of a page ever
+merge; each edge a page goes on to take either grows a component by one
+untouched vertex or is the first edge of a new star, whose two ends are
+both untouched.  So the edges a page still takes are the untouched
+vertices it goes on to touch less the new stars it starts.  An empty
+page that takes an edge starts a star, and one that stays empty takes
+nothing and keeps all n of its untouched vertices; either way it takes
+at most its untouched vertices less one.
 
-The second is a packing bound on the lonely vertices' stars.  Let R be
-the unassigned edges, U_p the untouched vertices of page p and K the
-least deg(v) - b + 2 over the vertices of degree above b, fixed at the
-build as `star_size`.  A node is cut when 2L + R - U > 0 and the sum
-over the pages of floor(U_p / K) is less than 2L + R - U.  Proof.  By
-the count above, the new stars number s = (the untouched vertices the
-pages go on to touch) - R <= U - R.  Each lonely vertex v centres new
-stars on c_v >= 1 pages, and distinct lonely vertices centre distinct
-stars, so the sum of c_v - 1 is at most U - R - L, and at least
-2L + R - U lonely vertices have c_v = 1.  Such a vertex has one edge on
+The second is the lonely-vertex bound.  Let R be the unassigned edges,
+L = |lonely|, U_p the untouched vertices of page p, b the page count
+and K the least deg(v) - b + 2 over the vertices of degree above b,
+fixed at the build as `star_size`.  A node is cut when the need
+2L + R - U exceeds min(L, room), for room the sum over the pages of
+floor(U_p / K).  Proof: at least the need and at most min(L, room)
+lonely vertices centre exactly one new star.  A lonely vertex v first
+touched each page it touches as a leaf, since an untouched vertex joins
+a page either as an end of a new lone edge (which would have taken v
+out of `lonely`) or as a leaf, and a leaf takes no second edge; so v
+has taken one edge on each page it touches, and its unassigned edges
+exceed its untouched pages by deg(v) - b > 0.  That is why `lonely`
+needs only the static degree test and, per new lone edge, one AND.  So
+some page that v has not touched takes two or more of v's edges, and
+there v is the centre of a star holding no edge of the page now: a new
+star.  (`lonely` only shrinks, so a lone-edge end that a later edge
+makes a leaf is not put back, though it must still centre a new star
+too: `lonely` is a subset of those vertices, which keeps the bound
+sound but loosens it there.)  By the count above, the new stars number
+(the untouched vertices the pages go on to touch) - R <= U - R.  Each
+lonely vertex v centres new stars on c_v >= 1 pages, and a star has one
+centre, so the sum of c_v - 1 is at most U - R - L, and at least
+L - (U - R - L), the need, have c_v = 1.  Such a vertex has one edge on
 each page it has touched, and at most one on each other page where it
 is not a centre (two edges at a vertex of a star forest make it the
 centre of their star), so its one star has deg(v) - b + 1 or more
 leaves and K or more vertices.  Its centre is untouched on that page,
 and so is each leaf, whose one edge there is the star's; and the stars
 of one page share no vertex.  So page p holds at most floor(U_p / K) of
-these stars, which is the bound.  For odd n >= 5 it proves Akiyama and
-Kano's count at the root, that K_n needs (n+1)/2 + 1 star forests: at
-b = (n+1)/2 every vertex is lonely, the need is n, K = b and each page
-holds one star.  The engine evaluates the bound only while `lonely` is
-non-zero (at 6 of the 429,798 nodes of strict K_12 at budget 9 and at
-1,141 of the 16,776 of relaxed K_10 at budget 6), and counts each
-page's untouched vertices from `mask` (`_packing_cuts`) only where the
-need is positive (6 of those 1,141 nodes).  A replayed search that
-checks its leaves would check this one as a third kind of leaf, beside
-a dead edge and the counting bound.
+these stars.  The case need > L is R > U - L, one new star per lonely
+vertex; it cuts K_2r at r pages at the root (Akiyama and Kano's count
+for even n).  The room proves their count for odd n >= 5 at the root,
+that K_n needs (n+1)/2 + 1 star forests: at b = (n+1)/2 every vertex
+is lonely, the need is n, K = b and each page holds one star.  The
+engine evaluates the bound after the dead-edge test and only while
+`lonely` is non-zero (at 6 of the 429,798 nodes of strict K_12 at
+budget 9 and at 1,005 of the 16,776 of relaxed K_10 at budget 6), and
+counts each page's untouched vertices from `mask` (`_lonely_cuts`)
+only where 0 < need <= L (6 of those 1,005 nodes).  A replayed search
+that checks its leaves would check this one as a third kind of leaf,
+beside a dead edge and the counting bound.
 
 Each search node is one Python call, `_Engine._rec`: most nodes have
 one child or none, so the cost of a call and of reading the engine's
@@ -131,8 +133,8 @@ page's flagged chords are already pairwise non-parallel (the lemma in
 `_cap_feasible`).  When the chord is the only one newly flagged and no
 flagged chord is parallel to it, `_rec` accepts it inline; otherwise it
 calls `_cap_feasible`.  One pass of the benchmark's crosscap_search
-workload at seed 0 makes 8,100 such probes: 6,771 are accepted inline,
-and 1,329 call `_cap_feasible`, which rejects 393.
+workload at seed 0 makes 7,543 such probes: 6,360 are accepted inline,
+and 1,183 call `_cap_feasible`, which rejects 390.
 
 With `optimize_order` the search runs one engine per class of spine
 orders that an automorphism of the graph maps onto each other (see
@@ -364,8 +366,8 @@ class _Engine:
         # The fewest vertices of the one new star of a lonely vertex that
         # centres no other (see the module docstring); 0 when none is lonely.
         self.star_size = min((d - b + 2 for d in degree.values() if d > b), default=0)
-        # untouched vertices over all pages - max(empty pages, |lonely|)
-        self.slack = b * self.n - max(b, self.lonely.bit_count())
+        # untouched vertices over all pages - empty pages
+        self.slack = b * self.n - b
         self.cap_cross = 0  # the chords crossing some edge of the cross-cap page
         # counts[j]: the edges whose count of pages blocking them has bit j
         # set (see _rec); a count is at most b, and a fixed edge's starts at
@@ -437,19 +439,20 @@ class _Engine:
             self.rejected.add(mask)
         return False
 
-    def _packing_cuts(self, unassigned: int, opened: int) -> bool:
-        """Whether the packing bound of the module docstring cuts this node,
-        where `lonely` is non-zero: the need 2L + R - U is positive and
-        exceeds the sum over the pages of floor(U_p / `star_size`), for U_p
-        the vertices page p leaves untouched, counted from `mask`.  `_rec`
-        calls it, so its own frame holds none of these counts."""
+    def _lonely_cuts(self, unassigned: int, opened: int) -> bool:
+        """Whether the lonely-vertex bound of the module docstring cuts this
+        node, where `lonely` is non-zero: the need 2L + R - U exceeds L or
+        the room, the sum over the pages of floor(U_p / `star_size`), U_p
+        counted from `mask` only when 0 < need <= L.  `_rec` calls it, so
+        its own frame holds none of these counts."""
         mask, cap, many = self.mask, self.cap_idx, self.lonely.bit_count()
         empty = self.disks - opened + (cap >= 0 and not mask[cap])
-        need = 2 * many + unassigned.bit_count() - self.slack - max(empty, many)
+        need = 2 * many + unassigned.bit_count() - self.slack - empty
         if need <= 0:
             return False
         at, size = self.inc[1:], self.star_size  # the edges at each vertex
-        return sum([edges & page for edges in at].count(0) // size for page in mask) < need
+        return need > many or sum(
+            [edges & page for edges in at].count(0) // size for page in mask) < need
 
     # search -------------------------------------------------------------
 
@@ -474,11 +477,12 @@ class _Engine:
         loop below would try without the cross-cap rule, the open disk
         pages and the cross-cap page whose `blocked` bit is clear, plus
         the first empty disk page, which every edge has alike.  Most
-        strict nodes end there, so the packing bound (also proved in the
-        module docstring) comes after it, tested only while `lonely` is
-        non-zero.  The cross-cap page takes a chord in `cap_cross` when
-        no page chord outside `cap_cross` crosses it and no flagged chord
-        is parallel to it, and otherwise when `_cap_feasible` accepts.
+        strict nodes end there, so the lonely-vertex bound (also proved
+        in the module docstring) comes after it, tested only while
+        `lonely` is non-zero.  The cross-cap page takes a chord in
+        `cap_cross` when no page chord outside `cap_cross` crosses it and
+        no flagged chord is parallel to it, and otherwise when
+        `_cap_feasible` accepts.
 
         Each page the edge may take gets it inline, by the blocking rule:
         a new lone edge blocks itself and the edges from its ends to the
@@ -489,12 +493,9 @@ class _Engine:
         cross-cap page adds them to `cap_cross`.  Then comes the child's
         recursion; the page's old values, `slack`, `cap_cross`, `lonely`
         and `counts` are held in locals and put back when the child
-        fails.  Only a new lone edge
-        can change `lonely` (its two ends leave it) or the count of empty
-        pages, so only there, while `lonely` is non-zero, is `slack`
-        recomputed from the untouched vertices and the two maxima;
-        otherwise a new lone edge takes 2 untouched vertices and gives
-        back 1 when it opens a page.
+        fails.  A new lone edge takes its two ends out of `lonely` and 2
+        untouched vertices from `slack`, and gives 1 back when it opens
+        a page; any other edge takes 1.
         """
         nodes = self.nodes = self.nodes + 1
         if depth > self.max_depth:
@@ -520,7 +521,7 @@ class _Engine:
                 top |= 1 << j
         if top == self.budget:
             return False  # every page blocks this edge, so no disk page is empty
-        if self.lonely and self._packing_cuts(unassigned, opened):
+        if self.lonely and self._lonely_cuts(unassigned, opened):
             return False
         bit = most & -most
         i = bit.bit_length() - 1
@@ -547,12 +548,8 @@ class _Engine:
                 new = old | ends & was_near | bit
                 near[p] = was_near | ends
                 if lonely:
-                    empty = self.disks - opened + (cap >= 0 and not mask[cap])
-                    left = self.lonely = lonely & ~(1 << u | 1 << v)
-                    self.slack = (slack + max(empty, lonely.bit_count()) - 2
-                                  - max(empty - (not page), left.bit_count()))
-                else:
-                    self.slack = slack + (not page) - 2
+                    self.lonely = lonely & ~(1 << u | 1 << v)
+                self.slack = slack + (not page) - 2
             else:  # the untouched end becomes a leaf
                 touched, at_leaf = (u, inc_v) if at & inc_u else (v, inc_u)
                 new = old | at_leaf

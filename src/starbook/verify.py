@@ -137,7 +137,9 @@ def _star_forest_violation(edges, edge_set) -> Edge | None:
     `edge_set` is a set of vertex pairs, reversed pairs and loops
     allowed, and `edges` iterates over its members once each (the
     degrees are counted from it).  Both ends of a bad edge are centres,
-    vertices of degree >= 2, and a valid page has at most two.  So when
+    vertices of degree >= 2, and the constructions' pages have at most
+    two (a valid page may have more: the strict 3-page witness of C_9^2
+    has pages centred at {1, 4, 7}, {2, 5, 8} and {3, 6, 9}).  So when
     the centres are few, the bad edges are found by probing `edge_set`
     for every ordered pair of centres (a centre paired with itself
     finds a loop); otherwise every edge is scanned.

@@ -286,8 +286,8 @@ _PINNED_TRAVERSALS = {
     "K9/saonly/b5": (
         lambda: SearchProblem(complete_graph(9), 5, Profile.STAR_FORESTS_ONLY),
         "unsat", 1, None),
-    # The packing bound cuts 18 nodes below the root here, and evaluates
-    # without cutting at 1,402 more.
+    # The lonely-vertex bound cuts 330 nodes below the root here, 17 of them
+    # by its room term, and evaluates without cutting at 1,657 more.
     "K7-e/saonly/b4": (
         lambda: SearchProblem(minus_edge(complete_graph(7), (1, 2)), 4, Profile.STAR_FORESTS_ONLY),
         "unsat", 2_701, None),
@@ -422,26 +422,26 @@ class _CheckedEngine(_Engine):
     A page's blocked edges are recomputed from what they mean: edge j is
     blocked iff it is on the page, the page plus j is not a star forest,
     the page is a disk page and j crosses one of its edges, or j is a
-    fixed edge of another page.  The
-    counting bound reads only `slack`, so checking `slack` at every node
-    checks the bound too: it must be the untouched vertices less
-    max(empty pages, lonely vertices).  The lonely vertices are found
-    without the engine's bookkeeping: the vertices of degree above the
-    page count less those that were a centre or a lone-edge end on some
-    page at some node of the current path, a set kept per depth, since
-    a lone-edge end may later become a leaf.  The bit-sliced `counts`
-    are recomputed from each edge's count of pages whose recomputed
-    blocked set holds it.
+    fixed edge of another page.  `slack` must be the untouched vertices
+    less the empty pages, and `lonely` the lonely vertices, found without
+    the engine's bookkeeping: the vertices of degree above the page count
+    less those that were a centre or a lone-edge end on some page at some
+    node of the current path, a set kept per depth, since a lone-edge end
+    may later become a leaf.  The bit-sliced `counts` are recomputed from
+    each edge's count of pages whose recomputed blocked set holds it.
     An unassigned edge's page count is recomputed
     with a plain loop over the pages, as `_rec` tries them but without
     the cross-cap rule.  The edge placed on the way to each child, read
     as the parent's unassigned edges less the child's, must be the
     parent's fixed edge of least static rank (its bit index) while one is
     unassigned, and otherwise its edge of least count, ties by rank.
-    The packing bound is recomputed from the reference pages' untouched
-    vertex counts, the lonely vertices found as above and the degrees,
-    and a node must have a child exactly when no prune cuts it (the
-    counting bound, the packing bound, an edge with a count of zero) and
+    The bounds are recomputed as two, from the reference pages' untouched
+    vertex counts, the lonely vertices found as above and the degrees:
+    the counting bound with the lonely vertices, U - max(E, L), and the
+    packing bound.  The engine merges the lonely half of the first into
+    the second, so this checks the merged rule against the two-bound
+    statement at every node.  A node must have a child exactly when no
+    prune cuts it (the two bounds, an edge with a count of zero) and
     the branched edge has a page that takes it: a disk page, or the
     cross-cap page when the verifier accepts it with the edge.  The count
     of open disk pages passed down the recursion must be the number of
@@ -459,6 +459,7 @@ class _CheckedEngine(_Engine):
         self.valid_caps = {}  # cross-cap page mask -> the verifier's verdict
         self.branched = []  # (unassigned, reference edge bit) of each node on the path
         self.ended = []  # the vertices a centre or lone-edge end so far, per node on the path
+        self.lonely_below = 0  # the nodes below the root with a lonely vertex
         degree = Counter(v for e in self.problem.graph.edges for v in e)
         self.high = {v for v, d in degree.items() if d > self.budget}
         # The fewest vertices of a lonely vertex's one new star: itself and
@@ -515,7 +516,7 @@ class _CheckedEngine(_Engine):
     def reference_state(self):
         cross, blocked, near, free, _ = zip(*(self.reference_page(p) for p in range(self.budget)))
         lonely = self.high - self.ended[-1]
-        slack = sum(free) - max(self.mask.count(0), len(lonely))
+        slack = sum(free) - self.mask.count(0)
         cap_cross = cross[self.cap_idx] if self.cap_idx >= 0 else 0
         counts = [0] * len(self.counts)
         for i in range(len(self.all_edges)):
@@ -525,12 +526,15 @@ class _CheckedEngine(_Engine):
         return (list(self.mask), list(blocked), list(near), slack, cap_cross,
                 sum(1 << v for v in lonely), counts)
 
-    def packing_cut(self, unassigned):
-        """Whether fewer lonely vertices' stars fit the pages' untouched
-        vertices than 2L + R - U, the lonely vertices that centre one new
-        star only."""
+    def bounds_cut(self, unassigned):
+        """Whether the unassigned edges outnumber the untouched vertices less
+        max(empty pages, lonely vertices), or fewer lonely vertices' stars
+        fit the pages' untouched vertices than 2L + R - U, the lonely
+        vertices that centre one new star only."""
         free = [self.reference_page(p)[3] for p in range(self.budget)]
         lonely = self.high - self.ended[-1]
+        if unassigned.bit_count() > sum(free) - max(self.mask.count(0), len(lonely)):
+            return True
         need = 2 * len(lonely) + unassigned.bit_count() - sum(free)
         return need > 0 and sum(u // self.least_star for u in free) < need
 
@@ -559,6 +563,7 @@ class _CheckedEngine(_Engine):
                             *(self.reference_page(p)[4] for p in range(self.budget)))
         self.ended.append(ended)
         assert self.state() == self.reference_state()
+        self.lonely_below += depth > 0 and self.lonely != 0
         cap = self.cap_idx
         assert cap < 0 or self.cap_valid(self.mask[cap])
         disks = [p for p in range(self.disks) if self.mask[p]]
@@ -576,8 +581,7 @@ class _CheckedEngine(_Engine):
         # cross-cap page as the verifier says.
         takes = cap < 0 or least > (not self.reference_page(cap)[1] & bit) or self.cap_valid(
             self.mask[cap] | bit)
-        child = (bool(bit) and unassigned.bit_count() <= self.slack
-                 and not self.packing_cut(unassigned) and takes)
+        child = bool(bit) and not self.bounds_cut(unassigned) and takes
         before = self.nodes
         self.branched.append((unassigned, bit))
         found = super()._rec(depth, unassigned, opened)
@@ -608,16 +612,38 @@ def test_incremental_page_state_matches_recomputation(case):
     assert (("sat" if found else "unsat"), total) == (status, nodes)
 
 
+def test_checked_engine_on_random_problems():
+    """The checked engine on 150 seeded random problems of at most 7
+    vertices, under all three profiles and on random spine orders, with a
+    node limit: the verdict and node count of `solve`, and a lonely vertex
+    below the root in some of them, so that the lonely-vertex bound is
+    checked node by node beyond the pinned cases."""
+    rng = random.Random(30)
+    lonely_below = 0
+    for _ in range(150):
+        n = rng.randint(4, 7)
+        graph = _random_graph(rng, n, dense=rng.random() < 0.8)
+        order = CircularOrder(tuple(rng.sample(range(1, n + 1), n)))
+        problem = SearchProblem(graph, rng.randint(2, 4), rng.choice(list(Profile)), order=order,
+                                node_limit=2000)
+        engine = _CheckedEngine(problem, order, problem.node_limit, float("inf"))
+        try:
+            status = "sat" if engine.run() else "unsat"
+        except search._Abort:
+            status = "aborted"
+        out = solve(problem)
+        assert (status, engine.nodes) == (out.status, out.nodes), problem
+        lonely_below += engine.lonely_below
+    assert lonely_below  # 5,820 of the 8,267 nodes, in 48 of the problems
+
+
 class _PlainBoundEngine(_Engine):
-    """The engine with `lonely` emptied after its build, so that `slack` is
-    the untouched vertices less the empty pages: the counting bound
-    without the vertices that must still start a star of their own.  The
-    packing bound reads only `lonely`, so it is off too."""
+    """The engine with `lonely` emptied after its build, so that only the
+    plain counting bound cuts: the lonely-vertex bound is evaluated only
+    while `lonely` is non-zero."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        empty = self.mask.count(0)
-        self.slack += max(empty, self.lonely.bit_count()) - empty
         self.lonely = 0
 
 
@@ -655,10 +681,13 @@ def test_lonely_vertices_cut_no_witness(monkeypatch):
 
 
 class _NoPackingEngine(_Engine):
-    """The engine with the packing bound off."""
+    """The engine with the packing term of the lonely-vertex bound off: with
+    stars of one vertex the room is U, at least the need whenever the need
+    is at most L, so only the lonely counting term need > L cuts."""
 
-    def _packing_cuts(self, unassigned, opened):
-        return False
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.star_size = 1
 
 
 def test_packing_bound_cuts_no_witness(monkeypatch):
