@@ -1,7 +1,7 @@
 """Command-line surface: construct, verify, search, table, render.
 
-Exit codes: 0 success / verification pass / SAT; 1 verification failure,
-UNSAT when a witness was asked for, or construction failure; 2 usage or
+Exit codes: 0 success / verification pass / SAT; 1 verification failure
+(a refused render too), UNSAT, or construction failure; 2 usage or
 input-format error; 3 solver aborted on a resource limit.
 """
 
@@ -46,15 +46,23 @@ def _cmd_construct(args) -> int:
               f"{len(layout.pages)} pages, {layout.graph.m} edges")
     else:
         sys.stdout.write(text)
-    if args.svg:
-        Path(args.svg).write_text(render_svg(layout, force=args.force))
-        print(f"wrote {args.svg}")
     return 0
 
 
+def _certificate_profile(layout, meta) -> Profile:
+    """The profile a certificate was made for: the one its meta names, as
+    `search` writes it, or else relaxed iff it has a cross-cap page."""
+    if "profile" not in meta:
+        return layout_profile(layout)
+    named = meta["profile"]
+    if not isinstance(named, str) or named not in _PROFILES:
+        raise ValueError(f"meta profile {named!r} is not one of {', '.join(sorted(_PROFILES))}")
+    return _PROFILES[named]
+
+
 def _cmd_verify(args) -> int:
-    layout, _meta = load_certificate(args.certificate)
-    profile = _PROFILES[args.profile] if args.profile else layout_profile(layout)
+    layout, meta = load_certificate(args.certificate)
+    profile = _PROFILES[args.profile] if args.profile else _certificate_profile(layout, meta)
     report = verify_layout(layout, profile)
     if args.json:
         import json
@@ -137,9 +145,6 @@ def _cmd_search(args) -> int:
     if outcome.status == "sat":
         if args.out:
             print(f"certificate written to {args.out}")
-        if args.svg:
-            Path(args.svg).write_text(render_svg(outcome.layout))
-            print(f"wrote {args.svg}")
         return 0
     if outcome.status == "unsat":
         return 1
@@ -201,13 +206,14 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    layout, _meta = load_certificate(args.certificate)
-    try:
-        svg = render_svg(layout, force=args.force)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    layout, meta = load_certificate(args.certificate)
+    profile = _certificate_profile(layout, meta)
+    report = verify_layout(layout, profile)
+    if not report.passed and not args.force:
+        print(f"error: refusing to render: FAIL profile={profile.value} violations="
+              f"{len(report.violations)}; pass --force to override", file=sys.stderr)
         return 1
-    Path(args.out).write_text(svg)
+    Path(args.out).write_text(render_svg(layout))
     print(f"wrote {args.out}")
     return 0
 
@@ -224,15 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--scheme", choices=cons.SCHEMES, required=True)
     p.add_argument("--out", help="certificate path (stdout if omitted)")
-    p.add_argument("--svg", help="also render to this SVG path")
-    p.add_argument("--force", action="store_true",
-                   help="render even if the layout fails verification")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="verify a certificate file")
     p.add_argument("certificate")
     p.add_argument("--profile", choices=sorted(_PROFILES), default=None,
-                   help="default: relaxed if a cross-cap page is present, else strict")
+                   help="default: the meta's profile, else relaxed iff a cross-cap page")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -249,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT)
     p.add_argument("--out", help="write the SAT certificate here")
-    p.add_argument("--svg", help="also render the SAT certificate here")
     p.add_argument("--journal", default=DEFAULT_JOURNAL)
     p.set_defaults(func=_cmd_search)
 
@@ -259,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--journal", default=DEFAULT_JOURNAL)
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("render", help="render a certificate to SVG")
+    p = sub.add_parser("render", help="verify a certificate as verify does, and render it to SVG")
     p.add_argument("certificate")
     p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
+    p.add_argument("--force", action="store_true", help="render even if verification fails")
     p.set_defaults(func=_cmd_render)
 
     return parser

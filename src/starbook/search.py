@@ -151,6 +151,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import itertools
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -174,8 +175,8 @@ from .verify import Profile, crosscap_page_valid, disk_page_valid, is_star_fores
 ENGINE_VERSION = "fail-first/5"
 DEFAULT_NODE_LIMIT = 10**9
 DEFAULT_TIME_LIMIT = 600.0
-# The engine's build grows about as n^4 and its crossing table as m^2; an
-# exact search is out of reach long before this many vertices.
+# Bounds what building an engine costs before any node is searched: the
+# build grows about as n^4 and its crossing table as m^2.
 MAX_SEARCH_VERTICES = 64
 # canonical_orders yields (n-1)!/2 orders: 20,160 at n = 9.
 MAX_ORDER_VERTICES = 9
@@ -457,7 +458,14 @@ class _Engine:
     # search -------------------------------------------------------------
 
     def run(self) -> bool:
-        return self._rec(0, self.unassigned, 0)
+        """Search from the root, under a recursion limit raised for `_rec`'s
+        one frame per placed edge and put back afterwards."""
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + len(self.all_edges) + 64)
+        try:
+            return self._rec(0, self.unassigned, 0)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def _rec(self, depth: int, unassigned: int, opened: int) -> bool:
         """Search below this node, where disk pages 0 .. opened-1 are open

@@ -61,12 +61,10 @@ def segments_cross(order, e, f) -> bool:
 
 def brute_noncrossing(order, edges):
     """Exhaustive pairwise check used as the disk-page oracle."""
-    from starbook import interleaves
-
     es = list(edges)
     for i in range(len(es)):
         for j in range(i + 1, len(es)):
-            if interleaves(order, es[i], es[j]):
+            if segments_cross(order, es[i], es[j]):
                 return False, (es[i], es[j])
     return True, None
 

@@ -76,8 +76,9 @@ def test_search_writes_certificate_and_svg(tmp_path):
     svg = tmp_path / "w.svg"
     assert main(["search", "--family", "K", "--n", "6", "--budget", "5",
                  "--profile", "strict", "--journal", str(journal),
-                 "--out", str(cert), "--svg", str(svg)]) == 0
+                 "--out", str(cert)]) == 0
     assert main(["verify", str(cert), "--profile", "strict"]) == 0
+    assert main(["render", str(cert), "--out", str(svg)]) == 0
     assert svg.read_text().startswith("<?xml")
     rec = load_records(journal)[0]
     assert rec.certificate_digest is not None
@@ -195,15 +196,20 @@ def test_removed_options_are_usage_errors():
     # `construct --family O --scheme relaxed` silently built a K layout,
     # `table --family` rejected every value but its default K, and the
     # relaxed profile always has its cross-cap page, so `--crosscap` is gone.
+    # `starbook render` is the one drawing command, so `construct --svg`,
+    # `construct --force` and `search --svg` are gone too.
     assert main(["search", "--family", "K", "--n", "4", "--budget", "3",
                  "--deterministic"]) == 2
+    assert main(["search", "--n", "4", "--budget", "3", "--svg", "k4.svg"]) == 2
+    assert main(["construct", "--n", "6", "--scheme", "relaxed", "--svg", "k6.svg"]) == 2
+    assert main(["construct", "--n", "6", "--scheme", "relaxed", "--force"]) == 2
     assert main(["search", "--family", "K", "--n", "6", "--budget", "4",
                  "--profile", "relaxed", "--crosscap"]) == 2
     assert main(["construct", "--family", "K", "--n", "6", "--scheme", "relaxed"]) == 2
     assert main(["table", "--family", "K", "--n", "4"]) == 2
 
 
-def test_render_command(tmp_path):
+def test_render_command(tmp_path, capsys):
     cert = tmp_path / "k6.json"
     out = tmp_path / "k6.svg"
     main(["construct", "--n", "6", "--scheme", "relaxed", "--out", str(cert)])
@@ -212,8 +218,38 @@ def test_render_command(tmp_path):
 
     bad = tmp_path / "bad.json"
     main(["construct", "--n", "6", "--scheme", "strict-literal", "--out", str(bad)])
+    assert main(["verify", str(bad)]) == 1
+    out.unlink()
+    capsys.readouterr()
     assert main(["render", str(bad), "--out", str(out)]) == 1
+    assert "FAIL profile=strict violations=4; pass --force" in capsys.readouterr().err
+    assert not out.exists()
     assert main(["render", str(bad), "--out", str(out), "--force"]) == 0
+    assert out.read_text().startswith("<?xml")
+
+
+def test_verify_and_render_read_the_certificate_profile(tmp_path, capsys):
+    # The saonly witness of K_7 in 5 pages has crossing chords on a page,
+    # so it passes only under the profile its meta names, which default
+    # verify and render both read.
+    cert = tmp_path / "sa.json"
+    svg = tmp_path / "sa.svg"
+    assert main(["search", "--n", "7", "--budget", "5", "--profile", "saonly",
+                 "--out", str(cert), "--journal", str(tmp_path / "j.jsonl")]) == 0
+    assert main(["verify", str(cert), "--profile", "strict"]) == 1
+    capsys.readouterr()
+    assert main(["verify", str(cert)]) == 0
+    assert "PASS profile=saonly" in capsys.readouterr().out
+    assert main(["render", str(cert), "--out", str(svg)]) == 0
+    assert svg.read_text().startswith("<?xml")
+    doc = json.loads(cert.read_text())
+    for named in ("bogus", ["x"], {"p": 1}, None):
+        doc["meta"]["profile"] = named
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(cert)]) == 2, named
+        assert main(["render", str(cert), "--out", str(svg)]) == 2, named
+        assert "meta profile" in capsys.readouterr().err, named
 
 
 def test_table_command(tmp_path, capsys):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from starbook import Profile, odd_extension, relaxed_complete, verify_layout
 from starbook.certs import parse_certificate, serialize_layout
-from starbook.cli import main
+from starbook.cli import _certificate_profile, main
 from starbook.journal import JournalRecord, load_records
 from starbook.render import render_svg
 from starbook.verify import layout_profile
@@ -75,11 +75,11 @@ def test_mutated_certificates_raise_only_input_errors(data):
     parsed = _input_errors_only(parse_certificate, json.dumps(doc))
     if parsed is None:
         return
-    layout, _meta = parsed
+    layout, meta = parsed
     for profile in (layout_profile(layout), *Profile):
         verify_layout(layout, profile)
-    _input_errors_only(render_svg, layout)
-    render_svg(layout, force=True)
+    _input_errors_only(_certificate_profile, layout, meta)
+    render_svg(layout)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from starbook import (
 )
 from starbook import search
 from starbook.certs import certificate_digest, serialize_layout
+from starbook.cli import main
 from starbook.construct import family_graph
 from starbook.journal import load_records
 from starbook.model import crosscap_page
@@ -195,6 +197,22 @@ def test_time_limit_holds_across_engines():
                               time_limit=0.0))
     assert (out.status, out.reason, out.layout) == ("aborted", "time_limit", None)
     assert 0 < out.nodes < 4_096
+
+
+@pytest.mark.parametrize("n", [46, search.MAX_SEARCH_VERTICES])
+def test_deep_search_within_the_vertex_limit(n, tmp_path):
+    # `_rec` takes one frame per placed edge: the n - 1 star pages of K_n
+    # are found without a backtrack, at depth m = n(n-1)/2 (1,035 and
+    # 2,016), past Python's default recursion limit of 1,000.
+    limit = sys.getrecursionlimit()
+    out = solve(SearchProblem(complete_graph(n), n - 1, Profile.STRICT))
+    assert sys.getrecursionlimit() == limit
+    m = n * (n - 1) // 2
+    assert (out.status, out.nodes, out.max_depth) == ("sat", m + 1, m)
+    assert verify_layout(out.layout, Profile.STRICT).passed
+    assert main(["search", "--n", str(n), "--budget", str(n - 1),
+                 "--journal", str(tmp_path / "j.jsonl")]) == 0
+    assert sys.getrecursionlimit() == limit
 
 
 @pytest.mark.parametrize("profile", list(Profile))
@@ -677,7 +695,7 @@ def _fewer_nodes_than(monkeypatch, plain):
 
 
 def test_lonely_vertices_cut_no_witness(monkeypatch):
-    assert _fewer_nodes_than(monkeypatch, _PlainBoundEngine)  # 202 of the 3,000 problems
+    assert _fewer_nodes_than(monkeypatch, _PlainBoundEngine) == 202  # of the 3,000 problems
 
 
 class _NoPackingEngine(_Engine):
@@ -691,7 +709,7 @@ class _NoPackingEngine(_Engine):
 
 
 def test_packing_bound_cuts_no_witness(monkeypatch):
-    assert _fewer_nodes_than(monkeypatch, _NoPackingEngine)  # 58 of the 3,000 problems
+    assert _fewer_nodes_than(monkeypatch, _NoPackingEngine) == 58  # of the 3,000 problems
 
 
 # Every committed journal row, searched again: its verdict, its node count

@@ -40,6 +40,7 @@ from conftest import (
     brute_crosscap_through,
     brute_noncrossing,
     brute_star_forest,
+    segments_cross,
     star_forest_edge_sets,
 )
 
@@ -147,8 +148,7 @@ def test_disk_sweep_agrees_with_pairwise_oracle(n):
         want_ok, _ = brute_noncrossing(o, sample)
         assert ok == want_ok
         if not ok:
-            from starbook import interleaves
-            assert interleaves(o, *pair)
+            assert segments_cross(o, *pair)
             # Of the copies on a chord's two vertices, the open chord is the
             # last in the page and the chord crossing out of it the first.
             outer, inner = ([e for e in sample if set(e) == set(w)] for w in pair)
