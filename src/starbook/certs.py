@@ -4,9 +4,12 @@ Format tag "starbook-cert/1".  Edges are stored with u < v and sorted
 lexicographically within each page; disk pages precede the cross-cap
 page; serialization is byte-identical for equal layouts.  The meta map
 records the graph family and parameters so a verifier can rebuild the
-graph being decomposed through construct.family_graph; without a family
-the complete graph on n vertices is assumed, and a family parameter
-that is not a JSON integer is a CertificateError.
+graph being decomposed: construct.family_graph builds it from meta and
+the certificate's n, in one call.  Without a family the complete graph
+on n vertices is assumed; a family G certificate carries its edges in
+meta, so it verifies on its own; and meta that family_graph refuses (an
+unknown family, a parameter that is not a JSON integer, an edge outside
+1..n) is a CertificateError.
 
 The bytes are exactly what json.dumps(doc, indent=1, sort_keys=True)
 followed by one newline gives, written directly by serialize_layout:
@@ -201,7 +204,7 @@ def _parse(text: str) -> tuple[BookLayout, dict]:
     if not isinstance(meta, dict):
         raise CertificateError("meta must be an object")
     try:
-        graph = family_graph(n, meta)
+        graph, _ = family_graph({**meta, "n": n})
     except ValueError as exc:
         raise CertificateError(str(exc)) from None
     return BookLayout(graph, CircularOrder(tuple(order)), tuple(pages)), meta
@@ -235,6 +238,8 @@ def parse_edge_list(text: str) -> SimpleGraph:
         n = int(head[0])
     except ValueError:
         raise ValueError(f"line {lineno}: bad vertex count {head[0]!r}") from None
+    if n < 0:
+        raise ValueError(f"line {lineno}: vertex count must be nonnegative, got {n}")
     if n > MAX_VERTICES:
         raise ValueError(f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
     edges = set()
@@ -250,7 +255,4 @@ def parse_edge_list(text: str) -> SimpleGraph:
         if u == v:
             raise ValueError(f"line {lineno}: loop edge at vertex {u}")
         edges.add(edge(u, v))
-    try:
-        return SimpleGraph(n, frozenset(edges))
-    except ValueError as exc:
-        raise ValueError(str(exc)) from None
+    return SimpleGraph(n, frozenset(edges))

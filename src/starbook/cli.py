@@ -84,15 +84,16 @@ def _search_graph(args):
         if given:
             raise ValueError(f"--graph cannot be combined with {', '.join(given)}")
         g = parse_edge_list(Path(args.graph).read_text())
-        return g, f"file:{Path(args.graph).name}", {"n": g.n, "m": g.m}
-    family = args.family or "K"
-    flags = {f: getattr(args, f) for f in ("n", "r", "k") if getattr(args, f) is not None}
-    for f in flags:
-        if f != "n" and f not in cons.FAMILIES[family]:
-            takers = [fam for fam, names in cons.FAMILIES.items() if f in names]
-            raise ValueError(f"--{f} applies to family {', '.join(takers)}, not {family}")
-    params = cons.family_params({"family": family, **flags})
-    return cons.family_graph(params["n"], {"family": family, **params}), family, params
+        family, flags = "G", {"n": g.n, "edges": sorted(g.edges)}
+    else:
+        family = args.family or "K"
+        flags = {f: getattr(args, f) for f in ("n", "r", "k") if getattr(args, f) is not None}
+        for f in flags:
+            if f != "n" and f not in cons.FAMILIES[family]:
+                takers = [fam for fam, names in cons.FAMILIES.items() if f in names]
+                raise ValueError(f"--{f} applies to family {', '.join(takers)}, not {family}")
+    graph, params = cons.family_graph({"family": family, **flags})
+    return graph, family, params
 
 
 def _cmd_search(args) -> int:
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--k", type=int, help="power for the Cpow family")
-    p.add_argument("--graph", help="edge-list file instead of a built-in family")
+    p.add_argument("--graph", help="edge-list file, searched as family G")
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--profile", choices=sorted(_PROFILES), default="strict")
     p.add_argument("--optimize-order", action="store_true",

@@ -1,8 +1,12 @@
 """Graph families, explicit page constructions, and closed-form bounds.
 
-family_graph is the one map from a family name and its parameters to
-a graph, for certificates and the search command alike, and construct
-the one map from a scheme name and its size to a layout.
+family_graph(params) is the one map from a family name and its
+parameters to a graph: in one call it reads n from the parameters,
+checks the rest and builds the graph, for certificates, journal rows
+and the search command alike.  A graph read from an edge list is named
+as family G, whose one parameter is its sorted edge list, so its
+certificate can be rebuilt like any other.  construct is the one map
+from a scheme name and its size to a layout.
 The relaxed construction for K_{2r} uses r two-star disk pages plus one
 cross-cap page holding the r antipodal edges.  The strict construction
 transcribed literally from its source text is kept as its own operation
@@ -35,8 +39,9 @@ from .verify import Profile, verify_layout
 # n(n-1)/2 edges, and every layout holds each of them.
 MAX_VERTICES = 1024
 
-# The graph families family_graph builds, each with its parameters besides n.
-FAMILIES = {"K": (), "O": ("r",), "Cpow": ("k",), "K-e": ("e",)}
+# The graph families family_graph builds, each with its parameters besides n;
+# G is a graph given by its edge list, as `starbook search --graph FILE` reads.
+FAMILIES = {"K": (), "O": ("r",), "Cpow": ("k",), "K-e": ("e",), "G": ("edges",)}
 
 
 def check_size(n: int) -> None:
@@ -83,15 +88,18 @@ def minus_edge(g: SimpleGraph, e: Edge) -> SimpleGraph:
     return SimpleGraph(g.n, g.edges - {e})
 
 
-def family_params(params: dict) -> dict:
-    """n and the parameters FAMILIES names for the family, defaults filled in.
+def family_graph(params: dict) -> tuple[SimpleGraph, dict]:
+    """The graph a family name and its parameters describe, and the
+    parameters FAMILIES names for it, n first, checked, defaults filled in.
 
-    `params` is a certificate's meta map, or a journal record's params
-    with its family added; a missing family means K_n, and other keys
-    are ignored.  O takes r, n or both, with 2r = n; Cpow takes k, and
-    K-e takes the removed edge e (default [1, 2]).  n and every
-    parameter must be JSON integers, and n at most MAX_VERTICES;
-    anything else raises ValueError.
+    `params` is a certificate's meta map with the certificate's n, or a
+    journal record's params with its family added; a missing family
+    means K_n, and other keys are ignored.  O takes r, n or both, with
+    2r = n; Cpow takes k; K-e takes the removed edge e (default [1, 2]);
+    and G, the family of an edge-list input, takes its edges, given back
+    as the sorted list of [u, v] with u < v.  n and every parameter must
+    be JSON integers (an edge a pair of them), and n at most
+    MAX_VERTICES; anything else raises ValueError.
     """
     family = params.get("family")
     if family is None:
@@ -105,33 +113,36 @@ def family_params(params: dict) -> dict:
             raise ValueError(f"graph family {family} needs an integer {key}, got {out.get(key)!r}")
         return out[key]
 
+    def pair(e) -> bool:
+        return isinstance(e, (list, tuple)) and len(e) == 2 and all(type(x) is int for x in e)
+
     if family == "O":  # r alone implies n = 2r, and n alone r = n // 2
         r = integer("r") if "r" in out else integer("n") // 2
-        out = {"r": r, "n": out.get("n", 2 * r)}
+        out = {"n": out.get("n", 2 * r), "r": r}
         if 2 * r != integer("n"):
             raise ValueError(f"octahedron r={r} does not match n={out['n']}")
-    check_size(integer("n"))
+    n = integer("n")
+    check_size(n)
+    if family == "O":
+        return octahedron(r), out
     if family == "Cpow":
-        integer("k")
+        return cycle_power(n, integer("k")), out
     if family == "K-e":
         e = out.setdefault("e", [1, 2])
-        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(type(x) is int for x in e)):
+        if not pair(e):
             raise ValueError(f"graph family K-e needs e as two integers, got {e!r}")
-    return out
-
-
-def family_graph(n: int, params: dict) -> SimpleGraph:
-    """The graph on n vertices that a family name and its parameters
-    describe; family_params reads and checks them."""
-    p = family_params({**params, "n": n})
-    family = params.get("family")
-    if family == "O":
-        return octahedron(p["r"])
-    if family == "Cpow":
-        return cycle_power(n, p["k"])
-    if family == "K-e":
-        return minus_edge(complete_graph(n), edge(*p["e"]))
-    return complete_graph(n)
+        return minus_edge(complete_graph(n), edge(*e)), out
+    if family == "G":
+        es = out.get("edges")
+        if not isinstance(es, (list, tuple)):
+            raise ValueError(f"graph family G needs its edges as a list, got {es!r}")
+        for e in es:
+            if not pair(e):
+                raise ValueError(f"graph family G has a malformed edge {e!r}")
+        graph = SimpleGraph(n, frozenset(edge(*e) for e in es))
+        out["edges"] = [list(e) for e in sorted(graph.edges)]
+        return graph, out
+    return complete_graph(n), out
 
 
 def _star(center: int, first_leaf: int, count: int, n: int) -> list[Edge]:

@@ -208,6 +208,10 @@ def test_parse_rejects_malformed():
         parse_certificate(json.dumps(loop_edge))
     with pytest.raises(CertificateError):
         parse_certificate(json.dumps({**doc, "meta": {"family": "Q"}}))
+    with pytest.raises(CertificateError, match="certificate must be a JSON object"):
+        parse_certificate(json.dumps([doc]))
+    with pytest.raises(CertificateError, match="page 1 edges must be a list"):
+        parse_certificate(json.dumps({**doc, "pages": [{"kind": "disk", "edges": "12"}]}))
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
@@ -283,3 +287,9 @@ def test_edge_list_parsing():
     assert parse_edge_list("1024\n1 1024\n").n == 1024
     with pytest.raises(ValueError, match="line 1: vertex count 1025 exceeds"):
         parse_edge_list("1025\n1 2\n")
+    with pytest.raises(ValueError, match="line 1: vertex count must be nonnegative, got -1"):
+        parse_edge_list("-1\n")
+    with pytest.raises(ValueError, match="line 2: bad vertex count 'four'"):
+        parse_edge_list("# n\nfour\n1 2\n")
+    with pytest.raises(ValueError, match="line 3: bad vertex label"):
+        parse_edge_list("4\n1 2\n1 x\n")

@@ -15,8 +15,9 @@ from starbook import (
     strict_literal,
     verify_layout,
 )
-from starbook.certs import save_certificate, serialize_layout
+from starbook.certs import load_certificate, parse_edge_list, save_certificate, serialize_layout
 from starbook.cli import main
+from starbook.construct import FAMILIES, family_graph
 from starbook.journal import load_records
 from starbook.search import ENGINE_VERSION
 
@@ -113,16 +114,52 @@ def test_search_graph_file_input(tmp_path):
     journal = tmp_path / "j.jsonl"
     assert main(["search", "--graph", str(graph), "--budget", "2",
                  "--profile", "strict", "--journal", str(journal)]) == 0
-    assert load_records(journal)[0].family == "file:g.txt"
+    rec = load_records(journal)[0]
+    assert (rec.family, rec.params) == ("G", {"n": 4, "edges": [[1, 2], [1, 4], [2, 3], [3, 4]]})
+
+
+# One small SAT search of each family, strict; family G is what --graph searches.
+_FAMILY_SEARCHES = {
+    "K": ["--n", "6", "--budget", "5"],
+    "O": ["--family", "O", "--r", "3", "--budget", "3"],
+    "Cpow": ["--family", "Cpow", "--n", "6", "--k", "2", "--budget", "3"],
+    "K-e": ["--family", "K-e", "--n", "6", "--budget", "5"],
+    "G": ["--graph", "g.txt", "--budget", "2"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_family_round_trips_through_a_certificate(tmp_path, monkeypatch, family):
+    # Each search certificate verifies and renders on its own, and the
+    # journal row's family and params rebuild the graph the search covered.
+    monkeypatch.chdir(tmp_path)
+    Path("g.txt").write_text("5\n1 2\n2 3\n3 4\n4 5\n1 5\n2 4\n")
+    assert main(["search", *_FAMILY_SEARCHES[family], "--out", "c.json",
+                 "--journal", "j.jsonl"]) == 0
+    assert main(["verify", "c.json"]) == 0
+    assert main(["render", "c.json", "--out", "c.svg"]) == 0
+    rec = load_records("j.jsonl")[0]
+    graph, params = family_graph({"family": rec.family, **rec.params})
+    layout, meta = load_certificate("c.json")
+    assert (rec.family, params) == (family, rec.params)
+    assert meta == {"family": family, **params, "scheme": "search", "profile": "strict",
+                    "budget": rec.budget}
+    assert set().union(*(p.edges for p in layout.pages)) == graph.edges
+    if family == "G":
+        assert graph == parse_edge_list(Path("g.txt").read_text())
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["construct", "--scheme", "relaxed"]) == 2          # missing size
     assert main(["construct", "--n", "7", "--scheme", "relaxed"]) == 2  # odd n
-    # --n and --r must agree (n = 2r, or 2r+1 for odd), and stars takes --n alone.
+    # --n and --r must agree (n = 2r, or 2r+1 for odd), stars takes --n alone,
+    # and each scheme has a least size.
     for argv in (["--n", "10", "--r", "3", "--scheme", "relaxed"],
                  ["--n", "7", "--r", "5", "--scheme", "odd"],
-                 ["--n", "5", "--r", "9", "--scheme", "stars"]):
+                 ["--n", "5", "--r", "9", "--scheme", "stars"],
+                 ["--r", "1", "--scheme", "relaxed"],
+                 ["--r", "1", "--scheme", "octahedron"],
+                 ["--n", "0", "--scheme", "stars"]):
         capsys.readouterr()
         assert main(["construct", *argv]) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
@@ -157,19 +194,30 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         capsys.readouterr()
         assert main(["table", f"--n={spec}"]) == 2, spec
         assert "K_n needs n >= 1" in capsys.readouterr().err, spec
+    capsys.readouterr()
+    assert main(["table", "--n", "5..3"]) == 2
+    assert "empty range '5..3'" in capsys.readouterr().err
     # A negative or NaN search limit; none is journalled.
     for limit in (["--time-limit", "-1"], ["--time-limit", "nan"], ["--node-limit", "-5"]):
         capsys.readouterr()
         assert main(["search", "--n", "8", "--budget", "7", *limit,
                      "--journal", str(tmp_path / "limits.jsonl")]) == 2, limit
         assert "limit must be at least 0" in capsys.readouterr().err, limit
+    # saonly ignores the spine, so it has no order to optimize; not journalled either.
+    capsys.readouterr()
+    assert main(["search", "--n", "5", "--budget", "4", "--profile", "saonly",
+                 "--optimize-order", "--journal", str(tmp_path / "limits.jsonl")]) == 2
+    assert "order optimization is pointless without geometry" in capsys.readouterr().err
     assert not (tmp_path / "limits.jsonl").exists()
     huge = tmp_path / "huge.txt"
     huge.write_text("1025\n1 2\n")
     assert main(["search", "--graph", str(huge), "--budget", "3"]) == 2
-    # Family parameters must be JSON integers, and O needs n = 2r.
+    # Family parameters must be JSON integers, O needs n = 2r, and G's edges
+    # are pairs of vertices in 1..n.
     for meta in ({"family": "O", "r": [3]}, {"family": "O", "r": True},
-                 {"family": "Cpow", "k": "2"}, {"family": "K-e", "e": [[1], 2]}):
+                 {"family": "Cpow", "k": "2"}, {"family": "K-e", "e": [[1], 2]},
+                 {"family": "G"}, {"family": "G", "edges": "12"},
+                 {"family": "G", "edges": [[1, 7]]}, {"family": "G", "edges": [[2, 2]]}):
         bad.write_text(serialize_layout(relaxed_complete(3), meta))
         assert main(["verify", str(bad)]) == 2, meta
     assert main(["search", "--family", "O", "--n", "7", "--budget", "3",
@@ -182,6 +230,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ["--family", "K-e", "--n", "6", "--r", "3"],
                  ["--family", "O", "--r", "3", "--k", "2"],
                  ["--family", "K", "--n", "6", "--k", "2"],
+                 ["--family", "G", "--n", "4"],  # G's edges come from --graph alone
                  ["--graph", str(graph), "--family", "K"],
                  ["--graph", str(graph), "--n", "4"],
                  ["--graph", str(graph), "--r", "2"],

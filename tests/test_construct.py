@@ -3,6 +3,7 @@ import pytest
 from starbook import (
     Profile,
     SearchProblem,
+    SimpleGraph,
     StrictLayoutUnavailable,
     complete_graph,
     cycle_power,
@@ -62,18 +63,36 @@ def test_minus_edge():
 
 
 def test_family_graph():
-    assert family_graph(6, {}) == complete_graph(6)
-    assert family_graph(6, {"family": "O"}) == octahedron(3)
-    assert family_graph(6, {"family": "O", "r": 3}) == octahedron(3)
-    assert family_graph(6, {"family": "Cpow", "k": 2}) == cycle_power(6, 2)
-    assert family_graph(6, {"family": "K-e"}) == minus_edge(complete_graph(6), (1, 2))
-    assert family_graph(6, {"family": "K-e", "e": [6, 5]}) == minus_edge(complete_graph(6), (5, 6))
-    for n, params in [(True, {}), (7, {"family": "O"}), (6, {"family": "O", "r": 3.0}),
-                      (6, {"family": "Cpow"}), (6, {"family": "Cpow", "k": False}),
-                      (6, {"family": "K-e", "e": [1]}), (6, {"family": "K-e", "e": ["1", 2]}),
-                      (6, {"family": "C"})]:
+    # Each family's graph, and its parameters checked, n first, defaults filled in.
+    k6 = complete_graph(6)
+    for params, graph, checked in [
+            ({"n": 6}, k6, {"n": 6}),
+            ({"family": "K", "n": 6, "r": 9, "scheme": "x"}, k6, {"n": 6}),
+            ({"family": "O", "n": 6}, octahedron(3), {"n": 6, "r": 3}),
+            ({"family": "O", "r": 3}, octahedron(3), {"n": 6, "r": 3}),
+            ({"family": "Cpow", "n": 6, "k": 2}, cycle_power(6, 2), {"n": 6, "k": 2}),
+            ({"family": "K-e", "n": 6}, minus_edge(k6, (1, 2)), {"n": 6, "e": [1, 2]}),
+            ({"family": "K-e", "n": 6, "e": [6, 5]}, minus_edge(k6, (5, 6)),
+             {"n": 6, "e": [6, 5]}),
+            ({"family": "G", "n": 4, "edges": [[3, 4], (2, 1), [4, 3]]},
+             SimpleGraph(4, frozenset({(1, 2), (3, 4)})), {"n": 4, "edges": [[1, 2], [3, 4]]}),
+            ({"family": "G", "n": 0, "edges": []}, SimpleGraph(0, frozenset()),
+             {"n": 0, "edges": []})]:
+        assert family_graph(params) == (graph, checked), params
+        assert list(checked) == list(family_graph(params)[1]), params
+    for params in [{"n": True}, {}, {"family": "O", "n": 7}, {"family": "O", "n": 6, "r": 3.0},
+                   {"family": "Cpow", "n": 6}, {"family": "Cpow", "n": 6, "k": False},
+                   {"family": "K-e", "n": 6, "e": [1]}, {"family": "K-e", "n": 6, "e": ["1", 2]},
+                   {"family": "C", "n": 6}, {"family": "G", "n": 4},
+                   {"family": "G", "n": 4, "edges": "12"},
+                   {"family": "G", "n": 4, "edges": [[1, 2, 3]]},
+                   {"family": "G", "n": 4, "edges": [[True, 2]]},
+                   {"family": "G", "n": 4, "edges": [[1, 5]]},
+                   {"family": "G", "n": 4, "edges": [[0, 1]]},
+                   {"family": "G", "n": 4, "edges": [[2, 2]]},
+                   {"family": "G", "n": 1025, "edges": []}]:
         with pytest.raises(ValueError):
-            family_graph(n, params)
+            family_graph(params)
 
 
 # --- star pages --------------------------------------------------------------

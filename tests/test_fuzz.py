@@ -1,6 +1,7 @@
 """Malformed input may only ever raise ValueError (CertificateError is one).
 
-Hypothesis mutates a valid certificate and a valid journal line by
+Hypothesis mutates a valid certificate (of K_7, or of an octahedron
+named as family G with its edges in meta) and a valid journal line by
 replacing or inserting JSON values anywhere below chosen top-level
 keys, then drives the result through the same calls the CLI makes.
 Any other exception escapes and fails the test; the CLI turns
@@ -15,7 +16,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starbook import Profile, odd_extension, relaxed_complete, verify_layout
+from starbook import Profile, octahedron_pages, odd_extension, relaxed_complete, verify_layout
 from starbook.certs import parse_certificate, serialize_layout
 from starbook.cli import _certificate_profile, main
 from starbook.journal import JournalRecord, load_records
@@ -28,13 +29,22 @@ _KEYS = st.sampled_from(["family", "scheme", "n", "r", "k", "e", "kind", "edges"
 _VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 20) | st.sampled_from([1025, 10**9, -10**9])
     | st.floats() | st.text(max_size=3)
-    | st.sampled_from(["K", "O", "Cpow", "K-e", "disk", "crosscap", "sat", "unsat", "strict"]),
+    | st.sampled_from(["K", "O", "Cpow", "K-e", "G", "disk", "crosscap", "sat", "unsat",
+                       "strict"]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
     max_leaves=6,
 )
 
-_CERT = json.loads(serialize_layout(odd_extension(relaxed_complete(3)),
-                                    {"family": "K", "scheme": "odd", "n": 7, "r": 3}))
+# Each certificate with the top-level keys to mutate: the family G one is
+# there for the edges its meta carries.
+_OCTAHEDRON = octahedron_pages(3)
+_CERTS = [
+    (json.loads(serialize_layout(odd_extension(relaxed_complete(3)),
+                                 {"family": "K", "scheme": "odd", "n": 7, "r": 3})),
+     ["n", "order", "pages", "meta"]),
+    (json.loads(serialize_layout(_OCTAHEDRON, {"family": "G", "edges": sorted(
+        _OCTAHEDRON.graph.edges)})), ["meta"]),
+]
 
 _RECORD = asdict(JournalRecord(
     timestamp="2026-01-01T00:00:00+00:00", family="K", params={"n": 6},
@@ -69,9 +79,10 @@ def _input_errors_only(fn, *args, **kwargs):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(st.data())
 def test_mutated_certificates_raise_only_input_errors(data):
-    doc = json.loads(json.dumps(_CERT))
+    cert, top_keys = data.draw(st.sampled_from(_CERTS))
+    doc = json.loads(json.dumps(cert))
     for _ in range(data.draw(st.integers(1, 3))):
-        _mutate(data, doc, ["n", "order", "pages", "meta"])
+        _mutate(data, doc, top_keys)
     parsed = _input_errors_only(parse_certificate, json.dumps(doc))
     if parsed is None:
         return

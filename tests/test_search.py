@@ -721,7 +721,7 @@ _JOURNAL_ROWS = load_records(Path(__file__).parent.parent / "results" / "journal
     f"{rec.family}{rec.params['n']}/{rec.profile}/b{rec.budget}/{rec.order_policy}"))
 def test_journal_replay(rec):
     assert rec.engine == search.ENGINE_VERSION
-    graph = family_graph(rec.params["n"], {"family": rec.family, **rec.params})
+    graph, _ = family_graph({"family": rec.family, **rec.params})
     out = solve(SearchProblem(
         graph, rec.budget, rec.profile,
         order=identity_order(graph.n) if rec.order_policy == "identity" else None,

@@ -25,6 +25,8 @@ from starbook import (
     strict_literal,
     verify_layout,
 )
+from starbook.certs import save_certificate
+from starbook.cli import main
 from starbook.verify import (
     CROSSCAP_UNROUTABLE,
     CROSSING_PAIR,
@@ -391,7 +393,7 @@ def test_verify_reports_a_loop(profile, cap):
         (FOREIGN_EDGE, (3, 3), 1), (NOT_STAR_FOREST, (3, 3), 1)]
 
 
-def test_verify_order_and_kind_constraints():
+def test_verify_order_and_kind_constraints(tmp_path, capsys):
     g = complete_graph(3)
     pages = (disk_page([(1, 2), (1, 3), (2, 3)]),)
     bad_order = BookLayout(g, CircularOrder((1, 2, 2)), pages)
@@ -417,6 +419,11 @@ def test_verify_order_and_kind_constraints():
     rep = verify_layout(two_caps, Profile.RELAXED)
     v = next(v for v in rep.violations if v.kind == TOO_MANY_CROSSCAPS)
     assert v.count == 2 and v.pages == (0, 1)
+    # Text-mode verify prints the count; the certificate puts its disk page first.
+    cert = tmp_path / "caps.json"
+    save_certificate(cert, two_caps, {"family": "K", "n": 4})
+    assert main(["verify", str(cert), "--profile", "relaxed"]) == 1
+    assert "too_many_crosscaps pages 2,3 count 2" in capsys.readouterr().out.splitlines()
 
 
 def test_verify_unroutable_cap_page():
