@@ -27,7 +27,6 @@ from .verify import (
 )
 from .construct import (
     BoundsSummary,
-    StrictLayoutUnavailable,
     complete_graph,
     cycle_power,
     edge_count_bounds,
@@ -37,7 +36,6 @@ from .construct import (
     odd_extension,
     relaxed_complete,
     star_pages,
-    strict_complete,
     strict_literal,
 )
 from .search import (
@@ -56,10 +54,9 @@ __all__ = [
     "CrossCapSplit", "Profile", "StarForestCheck", "VerificationReport",
     "Violation", "crosscap_page_valid", "disk_page_valid", "is_star_forest",
     "verify_layout",
-    "BoundsSummary", "StrictLayoutUnavailable", "complete_graph",
-    "cycle_power", "edge_count_bounds", "minus_edge", "octahedron",
-    "octahedron_pages", "odd_extension", "relaxed_complete", "star_pages",
-    "strict_complete", "strict_literal",
+    "BoundsSummary", "complete_graph", "cycle_power", "edge_count_bounds",
+    "minus_edge", "octahedron", "octahedron_pages", "odd_extension",
+    "relaxed_complete", "star_pages", "strict_literal",
     "SearchOutcome", "SearchProblem", "canonical_orders", "solve",
     "__version__",
 ]

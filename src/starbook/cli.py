@@ -1,8 +1,9 @@
 """Command-line surface: construct, verify, search, table, render.
 
 Exit codes: 0 success / verification pass / SAT; 1 verification failure
-(a refused render too), UNSAT, or construction failure; 2 usage or
-input-format error; 3 solver aborted on a resource limit.
+(a refused render too), UNSAT, or a table cell where a journal row
+contradicts a bound; 2 usage or input-format error; 3 solver aborted on
+a resource limit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .certs import (
     save_certificate,
     serialize_layout,
 )
-from .construct import StrictLayoutUnavailable
 from .journal import DEFAULT_JOURNAL, JournalRecord, append_record, load_records
 from .render import render_svg
 from .search import (
@@ -139,7 +139,9 @@ def _cmd_search(args) -> int:
     )
     append_record(args.journal, record)
 
-    print(f"{outcome.status.upper()} family={family} params={params} "
+    # A G graph's params hold its whole edge list, which the journal keeps.
+    shown = f"n={graph.n} m={graph.m}" if family == "G" else f"params={params}"
+    print(f"{outcome.status.upper()} family={family} {shown} "
           f"profile={profile.value} budget={args.budget} order={policy} "
           f"nodes={outcome.nodes} wall={outcome.wall_time:.2f}s"
           + (f" reason={outcome.reason}" if outcome.reason else ""))
@@ -192,17 +194,16 @@ def _cmd_table(args) -> int:
         # list and a lower end up it.
         uppers = list(itertools.accumulate(uppers, min))
         lowers = list(itertools.accumulate(reversed(lowers), max))[::-1]
-        cells = []
-        for lower, upper in zip(lowers, uppers):
-            if upper == lower:
-                cells.append(f"k*={upper}")
-            elif lower < upper < math.inf:
-                cells.append(f"[{lower},{upper}]")
-            else:
-                cells.append(f">={lower}")
+        # The bounds meet the constructions for every K_n, so ends that
+        # differ mean a journal row contradicts a bound.
+        for prof, lower, upper in zip(Profile, lowers, uppers):
+            if lower != upper:
+                print(f"error: K_{n} {prof.value}: lower end {lower} and upper end {upper} "
+                      "differ; a journal row contradicts a bound", file=sys.stderr)
+                return 1
         bt = b.bt_lower if b.bt_lower is not None else "-"
         print(f"{n:<3} {b.sa_lower!s:>8} {bt!s:>8} {b.strict_lower!s:>8} "
-              + " ".join(f"{c:>12}" for c in cells))
+              + " ".join(f"{f'k*={k}':>12}" for k in uppers))
     return 0
 
 
@@ -279,9 +280,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except StrictLayoutUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

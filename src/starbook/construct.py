@@ -11,9 +11,8 @@ The relaxed construction for K_{2r} uses r two-star disk pages plus one
 cross-cap page holding the r antipodal edges.  The strict construction
 transcribed literally from its source text is kept as its own operation
 because, under the fixed cyclic reading of its leaf ranges, it fails to
-partition the edge set (duplicates and missing edges).  strict_complete
-gives the n-1 star pages where they fit the r+2 budget (r <= 3) and, for
-r >= 4, the theorem that no strict layout within it exists.
+partition the edge set (duplicates and missing edges).  No strict layout
+of K_n has fewer than the n-1 star pages; edge_count_bounds states it.
 """
 
 from __future__ import annotations
@@ -48,10 +47,6 @@ def check_size(n: int) -> None:
     """Raise ValueError when n is above MAX_VERTICES."""
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-
-
-class StrictLayoutUnavailable(Exception):
-    """Raised when no strict layout exists within the page budget."""
 
 
 @lru_cache(maxsize=None)
@@ -95,11 +90,11 @@ def family_graph(params: dict) -> tuple[SimpleGraph, dict]:
     `params` is a certificate's meta map with the certificate's n, or a
     journal record's params with its family added; a missing family
     means K_n, and other keys are ignored.  O takes r, n or both, with
-    2r = n; Cpow takes k; K-e takes the removed edge e (default [1, 2]);
-    and G, the family of an edge-list input, takes its edges, given back
-    as the sorted list of [u, v] with u < v.  n and every parameter must
-    be JSON integers (an edge a pair of them), and n at most
-    MAX_VERTICES; anything else raises ValueError.
+    2r = n; Cpow takes k; K-e takes the removed edge e (default [1, 2]),
+    given back as [u, v] with u < v; and G, the family of an edge-list
+    input, takes its edges, given back as the sorted list of such pairs.
+    n and every parameter must be JSON integers (an edge a pair of them),
+    and n at most MAX_VERTICES; anything else raises ValueError.
     """
     family = params.get("family")
     if family is None:
@@ -128,10 +123,11 @@ def family_graph(params: dict) -> tuple[SimpleGraph, dict]:
     if family == "Cpow":
         return cycle_power(n, integer("k")), out
     if family == "K-e":
-        e = out.setdefault("e", [1, 2])
+        e = out.get("e", [1, 2])
         if not pair(e):
             raise ValueError(f"graph family K-e needs e as two integers, got {e!r}")
-        return minus_edge(complete_graph(n), edge(*e)), out
+        out["e"] = list(edge(*e))
+        return minus_edge(complete_graph(n), out["e"]), out
     if family == "G":
         es = out.get("edges")
         if not isinstance(es, (list, tuple)):
@@ -242,25 +238,6 @@ def strict_literal(r: int) -> BookLayout:
     return BookLayout(complete_graph(n), identity_order(n), tuple(pages))
 
 
-def strict_complete(r: int) -> BookLayout:
-    """A strict layout of K_{2r} with at most r+2 star-forest pages.
-
-    For r <= 3 the n-1 single-star pages fit the budget, since 2r-1 <= r+2.
-    For r >= 4 none exists: the convex K_n cannot be split into fewer than
-    n-1 noncrossing star forests (Pach, Saghafian and Schnider,
-    "Decomposition of geometric graphs into star forests", GD 2023), and
-    2r-1 > r+2, so StrictLayoutUnavailable is raised.
-    """
-    if r < 2:
-        raise ValueError(f"strict construction needs r >= 2, got {r}")
-    n = 2 * r
-    if n - 1 > r + 2:
-        raise StrictLayoutUnavailable(
-            f"no strict {r + 2}-page star-forest layout of K_{n} exists: the convex K_{n} "
-            f"needs {n - 1} noncrossing star forests (Pach, Saghafian and Schnider, GD 2023)")
-    return star_pages(n)
-
-
 def octahedron_pages(r: int) -> BookLayout:
     """The r disk pages of the relaxed construction, over the octahedron.
 
@@ -295,7 +272,6 @@ def construction_pages(n: int) -> dict[Profile, int]:
 SCHEMES = {
     "relaxed": relaxed_complete,
     "strict-literal": strict_literal,
-    "strict": strict_complete,
     "stars": star_pages,
     "octahedron": octahedron_pages,
     "odd": lambda r: odd_extension(relaxed_complete(r)),
@@ -309,8 +285,7 @@ def construct(scheme: str, n: int | None = None, r: int | None = None) -> tuple[
     other scheme builds a graph on n = 2r vertices (n = 2r+1 for `odd`)
     from r, and takes r, n or both when they agree: `octahedron` builds
     O_r and the rest K_n.  A missing, disagreeing or unknown value, or
-    more than MAX_VERTICES vertices, raises ValueError, and `strict`
-    raises StrictLayoutUnavailable for r >= 4, where no layout exists.
+    more than MAX_VERTICES vertices, raises ValueError.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -349,7 +324,8 @@ def edge_count_bounds(n: int, m: int) -> BoundsSummary:
     book thickness for n >= 4, and for complete graphs (m = n(n-1)/2)
     also star arboricity and the strict page count n - 1: the convex K_n
     cannot be split into fewer noncrossing star forests (Pach, Saghafian
-    and Schnider, GD 2023)."""
+    and Schnider, "Decomposition of geometric graphs into star forests",
+    GD 2023)."""
     bt_lower = None
     if n >= 4:
         bt_lower = max(0, math.ceil((m - n) / (n - 3)))

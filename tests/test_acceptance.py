@@ -4,9 +4,9 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they
 complete; each line reports the verdict of the bound it states.
 Criterion 4 checks the refutation of the strict r+2 upper bound: the
 convex K_n cannot be split into fewer than n-1 noncrossing star forests
-(Pach, Saghafian and Schnider, GD 2023), so r+2-page strict witnesses
-exist only for r <= 3, and the exhaustive search must prove that none
-exists for K_8, K_10 and K_12.
+(Pach, Saghafian and Schnider, GD 2023; edge_count_bounds' strict_lower),
+so the n-1 star pages are r+2-page strict witnesses only for r <= 3, and
+the exhaustive search must prove that none exists for K_8, K_10 and K_12.
 """
 
 import math
@@ -16,7 +16,6 @@ from starbook import (
     BookLayout,
     Profile,
     SearchProblem,
-    StrictLayoutUnavailable,
     complete_graph,
     crosscap_page,
     crosscap_page_valid,
@@ -30,7 +29,7 @@ from starbook import (
     odd_extension,
     relaxed_complete,
     solve,
-    strict_complete,
+    star_pages,
     strict_literal,
     verify_layout,
 )
@@ -105,14 +104,14 @@ def test_criterion_4_strict_upper_bound_witnesses():
     reparsed, meta = parse_certificate(text)
     assert serialize_layout(reparsed, meta) == text
 
-    # r = 2, 3: r+2 >= 2r-1, so the bound is attainable; the witnesses
-    # verify and are deterministic.
+    # r = 2, 3: r+2 >= 2r-1, so the bound is attainable; the star-page
+    # witnesses verify and are deterministic.
     results = {}
     for r in (2, 3):
-        layout = strict_complete(r)
+        layout = star_pages(2 * r)
         assert len(layout.pages) <= r + 2
         assert verify_layout(layout, Profile.STRICT).passed
-        again = strict_complete(r)
+        again = star_pages(2 * r)
         assert serialize_layout(again) == serialize_layout(layout)
         results[r] = f"{len(layout.pages)} pages"
 
@@ -125,11 +124,8 @@ def test_criterion_4_strict_upper_bound_witnesses():
         n = 2 * r
         outcome = solve(SearchProblem(complete_graph(n), r + 2, Profile.STRICT,
                                       order=identity_order(n), time_limit=math.inf))
-        try:
-            strict_complete(r)
-            results[r] = "a layout from strict_complete"
-        except StrictLayoutUnavailable:
-            results[r] = (outcome.status, outcome.nodes)
+        assert edge_count_bounds(n, r * (n - 1)).strict_lower > r + 2, r
+        results[r] = (outcome.status, outcome.nodes)
     elapsed = time.time() - t0
     refuted = all(results[r] == ("unsat", nodes) for r, nodes in pins.items())
     _line(4, refuted,
@@ -182,7 +178,7 @@ def test_criterion_6_resolve_strict_k6(tmp_path):
     value = 4 if rec.outcome == "sat" else 5
     if rec.outcome == "unsat":
         # the 5-page witness pins the value from above
-        assert verify_layout(strict_complete(3), Profile.STRICT).passed
+        assert verify_layout(star_pages(6), Profile.STRICT).passed
     in_time = elapsed < 600.0
     _line(6, in_time,
           f"strict K6 at budget 4 is {rec.outcome.upper()} over all orders "

@@ -19,7 +19,6 @@ from starbook import (
     odd_extension,
     relaxed_complete,
     star_pages,
-    strict_complete,
     strict_literal,
 )
 from starbook.certs import (
@@ -41,7 +40,7 @@ LAYOUT_MAKERS = [
     lambda: strict_literal(3),
     lambda: strict_literal(6),
     lambda: octahedron_pages(4),
-    lambda: strict_complete(3),
+    lambda: star_pages(6),
 ]
 
 

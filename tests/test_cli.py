@@ -18,7 +18,7 @@ from starbook import (
 from starbook.certs import load_certificate, parse_edge_list, save_certificate, serialize_layout
 from starbook.cli import main
 from starbook.construct import FAMILIES, family_graph
-from starbook.journal import load_records
+from starbook.journal import JournalRecord, append_record, load_records
 from starbook.search import ENGINE_VERSION
 
 
@@ -64,13 +64,6 @@ def test_search_exit_codes_and_journal(tmp_path):
     assert {r.engine for r in records} == {ENGINE_VERSION}
 
 
-def test_construct_strict_exits_1_citing_gd2023(capsys):
-    # K_12 needs 11 noncrossing star forests, more than r+2 = 8, so no
-    # strict layout exists and construct fails with the theorem (exit 1).
-    assert main(["construct", "--n", "12", "--scheme", "strict"]) == 1
-    assert "GD 2023" in capsys.readouterr().err
-
-
 def test_search_writes_certificate_and_svg(tmp_path):
     journal = tmp_path / "j.jsonl"
     cert = tmp_path / "w.json"
@@ -108,12 +101,15 @@ def test_relaxed_search_has_its_crosscap_page(tmp_path):
     assert (rec.family, rec.outcome, rec.nodes) == ("K", "sat", 647)
 
 
-def test_search_graph_file_input(tmp_path):
+def test_search_graph_file_input(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     graph.write_text("4\n1 2\n2 3\n3 4\n1 4\n")
     journal = tmp_path / "j.jsonl"
     assert main(["search", "--graph", str(graph), "--budget", "2",
                  "--profile", "strict", "--journal", str(journal)]) == 0
+    # The summary line names the graph by n and m; the journal keeps its edges.
+    assert capsys.readouterr().out.startswith(
+        "SAT family=G n=4 m=4 profile=strict budget=2 order=identity nodes=")
     rec = load_records(journal)[0]
     assert (rec.family, rec.params) == ("G", {"n": 4, "edges": [[1, 2], [1, 4], [2, 3], [3, 4]]})
 
@@ -246,7 +242,9 @@ def test_removed_options_are_usage_errors():
     # `table --family` rejected every value but its default K, and the
     # relaxed profile always has its cross-cap page, so `--crosscap` is gone.
     # `starbook render` is the one drawing command, so `construct --svg`,
-    # `construct --force` and `search --svg` are gone too.
+    # `construct --force` and `search --svg` are gone too.  The `strict`
+    # scheme is gone: K_2r needs 2r-1 strict pages (GD 2023), which the
+    # `stars` scheme builds.
     assert main(["search", "--family", "K", "--n", "4", "--budget", "3",
                  "--deterministic"]) == 2
     assert main(["search", "--n", "4", "--budget", "3", "--svg", "k4.svg"]) == 2
@@ -256,6 +254,7 @@ def test_removed_options_are_usage_errors():
                  "--profile", "relaxed", "--crosscap"]) == 2
     assert main(["construct", "--family", "K", "--n", "6", "--scheme", "relaxed"]) == 2
     assert main(["table", "--family", "K", "--n", "4"]) == 2
+    assert main(["construct", "--r", "3", "--scheme", "strict"]) == 2
 
 
 def test_render_command(tmp_path, capsys):
@@ -306,13 +305,14 @@ def test_table_command(tmp_path, capsys):
     # sides: the journal's budget-8 UNSAT row and st_lower (n - 1, GD 2023).
     # The upper ends of K_9 and K_12 strict (the n - 1 star pages) and of
     # K_10 relaxed (relaxed_complete(5), 6 pages) come from the
-    # constructions, which the journal does not record.
+    # constructions, which the journal does not record.  No committed row
+    # contradicts a bound, or table would exit 1.
     committed = Path(__file__).parent.parent / "results" / "journal.jsonl"
-    assert main(["table", "--n", "9..12", "--journal", str(committed)]) == 0
+    assert main(["table", "--n", "1..13", "--journal", str(committed)]) == 0
     rows = capsys.readouterr().out.strip().splitlines()[1:]
-    assert rows[0].split()[4] == "k*=8"
-    assert rows[1].split()[3:6] == ["9", "k*=9", "k*=6"]
-    assert rows[3].split()[4] == "k*=11"
+    assert rows[8].split()[4] == "k*=8"
+    assert rows[9].split()[3:6] == ["9", "k*=9", "k*=6"]
+    assert rows[11].split()[4] == "k*=11"
     journal = tmp_path / "j.jsonl"
     main(["search", "--family", "K", "--n", "6", "--budget", "4",
           "--profile", "saonly", "--journal", str(journal)])
@@ -336,6 +336,26 @@ def test_table_carries_bounds_across_profiles(tmp_path, capsys):
     assert main(["table", "--n", "1..3", "--journal", str(tmp_path / "j.jsonl")]) == 0
     rows = [line.split() for line in capsys.readouterr().out.strip().splitlines()[1:]]
     assert [row[4:] for row in rows] == [[f"k*={n - 1}"] * 3 for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n, profile, budget, outcome, message", [
+    # K_8 needs 7 strict pages (GD 2023), so a strict SAT row at 6 is forged.
+    (8, "strict", 6, "sat", "K_8 strict: lower end 7 and upper end 6 differ"),
+    # relaxed_complete(5) gives K_10 in 6 relaxed pages, so an UNSAT row at 6 is forged.
+    (10, "relaxed", 6, "unsat", "K_10 relaxed: lower end 7 and upper end 6 differ"),
+])
+def test_table_exits_1_on_a_journal_row_that_contradicts_a_bound(
+        tmp_path, capsys, n, profile, budget, outcome, message):
+    journal = tmp_path / "j.jsonl"
+    assert main(["table", "--n", f"1..{n}", "--journal", str(journal)]) == 0
+    append_record(journal, JournalRecord(
+        timestamp="2026-01-01T00:00:00+00:00", family="K", params={"n": n},
+        order_policy="identity", profile=profile, budget=budget, outcome=outcome))
+    capsys.readouterr()
+    assert main(["table", "--n", f"1..{n}", "--journal", str(journal)]) == 1
+    out, err = capsys.readouterr()
+    assert len(out.strip().splitlines()) == n  # the header and the rows below n
+    assert err.startswith(f"error: {message}; a journal row contradicts a bound")
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,6 @@ from starbook import (
     Profile,
     SearchProblem,
     SimpleGraph,
-    StrictLayoutUnavailable,
     complete_graph,
     cycle_power,
     edge_count_bounds,
@@ -17,7 +16,6 @@ from starbook import (
     relaxed_complete,
     solve,
     star_pages,
-    strict_complete,
     strict_literal,
     verify_layout,
 )
@@ -73,7 +71,7 @@ def test_family_graph():
             ({"family": "Cpow", "n": 6, "k": 2}, cycle_power(6, 2), {"n": 6, "k": 2}),
             ({"family": "K-e", "n": 6}, minus_edge(k6, (1, 2)), {"n": 6, "e": [1, 2]}),
             ({"family": "K-e", "n": 6, "e": [6, 5]}, minus_edge(k6, (5, 6)),
-             {"n": 6, "e": [6, 5]}),
+             {"n": 6, "e": [5, 6]}),
             ({"family": "G", "n": 4, "edges": [[3, 4], (2, 1), [4, 3]]},
              SimpleGraph(4, frozenset({(1, 2), (3, 4)})), {"n": 4, "edges": [[1, 2], [3, 4]]}),
             ({"family": "G", "n": 0, "edges": []}, SimpleGraph(0, frozenset()),
@@ -103,6 +101,10 @@ def test_star_pages_small():
         {(1, 2), (1, 3), (1, 4)}, {(2, 3), (2, 4)}, {(3, 4)},
     ]
     assert star_pages(5).page_sizes() == (4, 3, 2, 1)
+    assert certificate_digest(star_pages(4)) == (
+        "672eb9d2b1da10de178f8847ad14de265ceb1caf0307f58ea428ac61497bec1a")
+    assert certificate_digest(star_pages(6)) == (
+        "045f9bbfb47ae356836572bcc481cccc3fbe8eb1ed75325fd460a7fe6f79442c")
 
 
 @pytest.mark.parametrize("n", list(range(2, 13)) + [32, 64])
@@ -217,46 +219,6 @@ def test_strict_literal_defect_families(r):
     assert set(rep.kinds()) == {DUPLICATE_EDGE, MISSING_EDGE}
 
 
-# --- strict_complete ----------------------------------------------------------
-
-def test_strict_complete_r2_uses_star_pages():
-    lay = strict_complete(2)
-    assert len(lay.pages) == 3
-    assert verify_layout(lay, Profile.STRICT).passed
-
-
-def test_strict_complete_r3_five_pages_deterministic():
-    lay1 = strict_complete(3)
-    lay2 = strict_complete(3)
-    assert lay1 == lay2
-    assert len(lay1.pages) <= 5
-    assert verify_layout(lay1, Profile.STRICT).passed
-    # The search's witness is the five star pages.
-    assert certificate_digest(lay1) == (
-        "045f9bbfb47ae356836572bcc481cccc3fbe8eb1ed75325fd460a7fe6f79442c")
-
-
-def test_strict_complete_r4_reports_why_it_has_no_witness():
-    # K_8 needs 7 noncrossing star forests (GD 2023), more than 6.
-    with pytest.raises(StrictLayoutUnavailable, match="GD 2023"):
-        strict_complete(4)
-
-
-def test_strict_complete_never_searches(monkeypatch):
-    # The layouts for r <= 3 are the star pages, and r >= 4 is a theorem,
-    # so no search runs.
-    def no_search(problem):
-        raise AssertionError("strict_complete ran the search")
-
-    monkeypatch.setattr("starbook.search.solve", no_search)
-    assert certificate_digest(strict_complete(2)) == (
-        "672eb9d2b1da10de178f8847ad14de265ceb1caf0307f58ea428ac61497bec1a")
-    assert certificate_digest(strict_complete(3)) == (
-        "045f9bbfb47ae356836572bcc481cccc3fbe8eb1ed75325fd460a7fe6f79442c")
-    with pytest.raises(StrictLayoutUnavailable):
-        strict_complete(4)
-
-
 @pytest.mark.parametrize("n", range(1, 14))
 def test_construction_pages_count_the_constructions(n):
     """The page counts `table` reads are those of the verified layouts."""
@@ -269,22 +231,12 @@ def test_construction_pages_count_the_constructions(n):
     assert construction_pages(n) == {p: len(layout.pages) for p, layout in built.items()}
 
 
-def test_strict_complete_r7_is_exhausted():
-    # K_14 at budget 9 is exhausted in 6,805 nodes on the identity order,
-    # as GD 2023 says it must be, and strict_complete(7) reports it.
+def test_k14_strict_budget_9_is_exhausted():
+    # K_14 needs 13 strict pages (GD 2023), more than r+2 = 9, and the
+    # search exhausts budget 9 on the identity order in 6,805 nodes.
+    assert edge_count_bounds(14, 91).strict_lower == 13
     outcome = solve(SearchProblem(complete_graph(14), 9, Profile.STRICT, order=identity_order(14)))
     assert (outcome.status, outcome.nodes) == ("unsat", 6_805)
-    with pytest.raises(StrictLayoutUnavailable):
-        strict_complete(7)
-
-
-def test_strict_complete_r_max_guard():
-    # Every r >= 4 gets the theorem's answer, however large.
-    for r in (11, 13, 512):
-        with pytest.raises(StrictLayoutUnavailable):
-            strict_complete(r)
-    with pytest.raises(ValueError):
-        strict_complete(1)
 
 
 # --- octahedron pages ----------------------------------------------------------
