@@ -7,12 +7,10 @@ from .model import (
     Page,
     PageKind,
     SimpleGraph,
-    arc_contains,
     crosscap_page,
     disk_page,
     edge,
     identity_order,
-    interleaves,
 )
 from .verify import (
     CrossCapSplit,
@@ -49,8 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BookLayout", "CircularOrder", "Edge", "Page", "PageKind", "SimpleGraph",
-    "arc_contains", "crosscap_page", "disk_page", "edge",
-    "identity_order", "interleaves",
+    "crosscap_page", "disk_page", "edge", "identity_order",
     "CrossCapSplit", "Profile", "StarForestCheck", "VerificationReport",
     "Violation", "crosscap_page_valid", "disk_page_valid", "is_star_forest",
     "verify_layout",

@@ -23,6 +23,7 @@ from .certs import (
     serialize_layout,
 )
 from .journal import DEFAULT_JOURNAL, JournalRecord, append_record, load_records
+from .model import PageKind
 from .render import render_svg
 from .search import (
     DEFAULT_NODE_LIMIT,
@@ -32,7 +33,7 @@ from .search import (
     SearchProblem,
     solve,
 )
-from .verify import Profile, layout_profile, verify_layout
+from .verify import Profile, verify_layout
 
 _PROFILES = {p.value: p for p in Profile}
 
@@ -53,7 +54,8 @@ def _certificate_profile(layout, meta) -> Profile:
     """The profile a certificate was made for: the one its meta names, as
     `search` writes it, or else relaxed iff it has a cross-cap page."""
     if "profile" not in meta:
-        return layout_profile(layout)
+        crosscap = any(p.kind is PageKind.CROSSCAP for p in layout.pages)
+        return Profile.RELAXED if crosscap else Profile.STRICT
     named = meta["profile"]
     if not isinstance(named, str) or named not in _PROFILES:
         raise ValueError(f"meta profile {named!r} is not one of {', '.join(sorted(_PROFILES))}")
@@ -155,11 +157,13 @@ def _cmd_search(args) -> int:
 
 
 def _parse_range(spec: str) -> list[int]:
-    if ".." in spec:
-        a, b = spec.split("..", 1)
-        lo, hi = int(a), int(b)
-    else:
-        lo = hi = int(spec)
+    ends = spec.split("..")  # N alone gives one end, both lo and hi
+    try:
+        if len(ends) > 2:
+            raise ValueError
+        lo, hi = int(ends[0]), int(ends[-1])
+    except ValueError:
+        raise ValueError(f"bad range {spec!r}: expected N or LO..HI") from None
     if lo > hi:
         raise ValueError(f"empty range {spec!r}")
     if lo < 1:

@@ -147,32 +147,3 @@ class BookLayout:
     def page_sizes(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.pages)
 
-
-def arc_contains(order: CircularOrder, a: int, b: int, x: int) -> bool:
-    """True iff x lies strictly inside the arc traversed from a to b.
-
-    The arc runs in the order's cyclic direction; a and b themselves are
-    excluded.
-    """
-    if a == b:
-        raise ValueError("arc endpoints must differ")
-    n = len(order)
-    pa = order.position(a)
-    pb = order.position(b)
-    px = order.position(x)
-    return 0 < (px - pa) % n < (pb - pa) % n
-
-
-def interleaves(order: CircularOrder, e: Edge, f: Edge) -> bool:
-    """True iff chords e and f cross when drawn inside the spine circle.
-
-    Chords sharing an endpoint never cross: they can always be drawn
-    disjointly except at the common vertex.  For vertex-disjoint chords
-    this is the classic alternation test: exactly one endpoint of f lies
-    strictly inside the arc between e's endpoints.
-    """
-    u1, v1 = e
-    u2, v2 = f
-    if u1 == u2 or u1 == v2 or v1 == u2 or v1 == v2:
-        return False
-    return arc_contains(order, u1, v1, u2) != arc_contains(order, u1, v1, v2)

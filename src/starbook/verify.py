@@ -270,13 +270,6 @@ def _crosscap_valid(order: CircularOrder, edges) -> tuple[bool, CrossCapSplit | 
     return True, CrossCapSplit(through, planar)
 
 
-def layout_profile(layout: BookLayout) -> Profile:
-    """The profile a layout is drawn for: relaxed iff it has a cross-cap page."""
-    if any(p.kind is PageKind.CROSSCAP for p in layout.pages):
-        return Profile.RELAXED
-    return Profile.STRICT
-
-
 def verify_layout(layout: BookLayout, profile: Profile) -> VerificationReport:
     """Check a layout against a profile; all problems become violations.
 

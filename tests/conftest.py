@@ -1,4 +1,5 @@
-"""Shared brute-force oracles kept independent of the library's own logic."""
+"""Shared brute-force oracles kept independent of the library's own logic,
+and a vertex relabelling of layouts."""
 
 import itertools
 import math
@@ -6,7 +7,8 @@ from collections import Counter
 
 import pytest
 
-from starbook import SimpleGraph, complete_graph
+from starbook import BookLayout, CircularOrder, Page, SimpleGraph, complete_graph, edge
+
 
 
 def brute_star_forest(edges) -> bool:
@@ -130,3 +132,17 @@ def k5_star_forest_table():
     for mask in range(1 << m):
         table[mask] = brute_star_forest(edges[i] for i in range(m) if mask >> i & 1)
     return edges, table
+
+
+def relabelled(layout, rng):
+    """The layout with its vertices renamed by a permutation rng draws:
+    graph, spine order and every page alike, each page's edges sorted."""
+    labels = list(range(1, layout.n + 1))
+    rng.shuffle(labels)
+
+    def relabel(edges):
+        return tuple(sorted(edge(labels[u - 1], labels[v - 1]) for u, v in edges))
+
+    return BookLayout(SimpleGraph(layout.n, frozenset(relabel(layout.graph.edges))),
+                      CircularOrder(tuple(labels[v - 1] for v in layout.order.seq)),
+                      tuple(Page(p.kind, relabel(p.edges)) for p in layout.pages))

@@ -193,6 +193,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["table", "--n", "5..3"]) == 2
     assert "empty range '5..3'" in capsys.readouterr().err
+    # A malformed range is named, not reported in int()'s words.
+    for spec in ("5..", "..5", "3..2..5", "4..5x"):
+        capsys.readouterr()
+        assert main(["table", f"--n={spec}"]) == 2, spec
+        assert capsys.readouterr().err == f"error: bad range {spec!r}: expected N or LO..HI\n"
     # A negative or NaN search limit; none is journalled.
     for limit in (["--time-limit", "-1"], ["--time-limit", "nan"], ["--node-limit", "-5"]):
         capsys.readouterr()

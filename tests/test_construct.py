@@ -1,11 +1,16 @@
+import random
+from collections import Counter
+
 import pytest
 
 from starbook import (
+    BookLayout,
     Profile,
     SearchProblem,
     SimpleGraph,
     complete_graph,
     cycle_power,
+    disk_page,
     edge_count_bounds,
     identity_order,
     is_star_forest,
@@ -21,7 +26,8 @@ from starbook import (
 )
 from starbook.certs import certificate_digest
 from starbook.construct import construct, construction_pages, family_graph
-from starbook.verify import DUPLICATE_EDGE, MISSING_EDGE
+from starbook.verify import CROSSING_PAIR, DUPLICATE_EDGE, MISSING_EDGE
+from conftest import relabelled
 
 
 # --- graph generators -------------------------------------------------------
@@ -186,9 +192,47 @@ def test_odd_extension_verifies(r):
 
 def test_odd_extension_rejects_invalid_input():
     with pytest.raises(ValueError):
-        odd_extension(strict_literal(3))
+        odd_extension(octahedron_pages(3))  # not a complete graph
     with pytest.raises(ValueError):
         odd_extension(star_pages(5))  # odd vertex count
+
+
+def _violation_lines(layout, profile):
+    return [v.describe() for v in verify_layout(layout, profile).violations]
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_odd_extension_passes_a_defect_through(r):
+    """odd_extension builds and does not judge: the literal strict
+    construction's r-1 duplicated and r-1 missing edges reach K_{2r+1}
+    as they were, and the verifier reports them there."""
+    literal = strict_literal(r)
+    extended = odd_extension(literal)
+    lines = _violation_lines(literal, Profile.STRICT)
+    assert _violation_lines(extended, Profile.STRICT) == lines
+    assert verify_layout(extended, Profile.STRICT).kinds() == \
+        Counter({DUPLICATE_EDGE: r - 1, MISSING_EDGE: r - 1})
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_odd_extension_passes_crossing_chords_through(r):
+    # The antipodal chords drawn on a disk page instead of the cross-cap
+    # page cross there, before the extension and after it.
+    lay = relaxed_complete(r)
+    crossing = BookLayout(lay.graph, lay.order, lay.pages[:-1] + (disk_page(lay.pages[-1].edges),))
+    extended = odd_extension(crossing)
+    lines = _violation_lines(crossing, Profile.RELAXED)
+    assert _violation_lines(extended, Profile.RELAXED) == lines
+    assert verify_layout(extended, Profile.RELAXED).kinds() == Counter({CROSSING_PAIR: 1})
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_odd_extension_of_a_relabelled_layout_verifies(r):
+    # The new vertex joins the end of whatever spine order the input has.
+    lay = odd_extension(relabelled(relaxed_complete(r), random.Random(r)))
+    assert lay.order.seq[-1] == 2 * r + 1
+    assert len(lay.pages) == r + 2
+    assert verify_layout(lay, Profile.RELAXED).passed
 
 
 # --- literal strict construction ----------------------------------------------

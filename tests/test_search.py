@@ -19,7 +19,6 @@ from starbook import (
     cycle_power,
     edge,
     identity_order,
-    interleaves,
     minus_edge,
     octahedron,
     octahedron_pages,
@@ -424,12 +423,13 @@ def _numbered_chords(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_numbered_chords())
-def test_crossings_match_pairwise_interleaves(instance):
-    """The engine's position sweep finds, for each chord, the chords that
-    `model.interleaves` says cross it, in the numbering it is given."""
+def test_crossings_match_the_geometric_oracle(instance):
+    """The engine's position sweep finds, for each chord, the chords whose
+    straight segments properly cross it on the unit circle, in the
+    numbering it is given."""
     order, edges = instance
     assert search._crossings(order, edges) == [
-        sum(1 << j for j, f in enumerate(edges) if interleaves(order, e, f)) for e in edges]
+        sum(1 << j for j, f in enumerate(edges) if segments_cross(order, e, f)) for e in edges]
 
 
 class _CheckedEngine(_Engine):

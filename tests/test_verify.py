@@ -11,7 +11,6 @@ from starbook import (
     Page,
     PageKind,
     Profile,
-    SimpleGraph,
     complete_graph,
     crosscap_page,
     crosscap_page_valid,
@@ -42,6 +41,7 @@ from conftest import (
     brute_crosscap_through,
     brute_noncrossing,
     brute_star_forest,
+    relabelled,
     segments_cross,
     star_forest_edge_sets,
 )
@@ -476,18 +476,6 @@ def test_report_is_deterministic_and_sorted():
 
 # --- reading order ----------------------------------------------------------
 
-def _relabelled(layout, rng):
-    labels = list(range(1, layout.n + 1))
-    rng.shuffle(labels)
-
-    def relabel(edges):
-        return tuple(sorted(edge(labels[u - 1], labels[v - 1]) for u, v in edges))
-
-    return BookLayout(SimpleGraph(layout.n, frozenset(relabel(layout.graph.edges))),
-                      CircularOrder(tuple(labels[v - 1] for v in layout.order.seq)),
-                      tuple(Page(p.kind, relabel(p.edges)) for p in layout.pages))
-
-
 def _redrawn(layout, kind, spans):
     """The chords at these spine positions taken off every page and drawn
     together on a new page of this kind."""
@@ -532,7 +520,7 @@ def test_report_does_not_depend_on_edge_order_within_a_page(family, mutation):
     rng = random.Random(f"{family.__name__}/{mutation}")
     for r in (3, 4, 8, 16):
         for _ in range(2):
-            layout = _MUTATIONS[mutation](_relabelled(family(r), rng), rng)
+            layout = _MUTATIONS[mutation](relabelled(family(r), rng), rng)
             assert all(len(p.edge_set) == len(p.edges) for p in layout.pages)
             assert all(u < v for p in layout.pages for u, v in p.edges)
             reports = {profile: verify_layout(layout, profile).to_dict() for profile in Profile}
