@@ -4,50 +4,66 @@
     python3 bench/search.py --label one-frame
     python3 bench/search.py --label "static-order (fcde21b)" --src ../old/src
 
-Searches each of INSTANCES on the identity order, importing starbook
-from --src (default: this checkout's src): K_8 at budget 6, K_10 at
-budgets 7 and 8 and K_12 at budgets 8 and 9 under the strict profile,
-all UNSAT because the convex K_n needs n-1 noncrossing star forests
-(Pach, Saghafian and Schnider, GD 2023); K_10 at budget 6 under the
-relaxed profile, SAT because relaxed_complete(5) has 6 pages, the
-largest cross-cap search of the benchmark's crosscap_search workload;
-and K_9 at budget 5 under the saonly profile, UNSAT because the star
-arboricity of K_9 is 6 (Akiyama and Kano, 1985).
-Each search runs with a TIME_LIMIT-second limit, as often as
+Searches each of INSTANCES, a row of results/journal.jsonl named by its
+key, importing starbook from --src (default: this checkout's src): K_8
+at budget 6, K_10 at budgets 7 and 8 and K_12 at budgets 8 and 9 under
+the strict profile on the identity order, all UNSAT because the convex
+K_n needs n-1 noncrossing star forests (Pach, Saghafian and Schnider,
+GD 2023); K_10 at budget 6 under the relaxed profile, SAT because
+relaxed_complete(5) has 6 pages, the largest cross-cap search of the
+benchmark's crosscap_search workload; and K_9 at budget 5 under the
+saonly profile, UNSAT because the star arboricity of K_9 is 6 (Akiyama
+and Kano, 1985).  Each problem is built from its row as `starbook
+search` builds it, with a TIME_LIMIT-second limit, and runs as often as
 record.timed asks.  For each it records the verdict, the abort reason if
 a limit stopped it, the node count, the deepest node, the number of
 runs, the median seconds and their quartiles, the nodes per second at
-that median and, for a SAT verdict, the certificate digest of the
-witness (no meta), and stores them in --out under --label (see
-record.py).  A verdict other than the theorem's makes the script exit 1
-and store nothing; an abort is kept, as older source trees may abort.
-Node counts and witnesses are deterministic: a run of the PINNED_ENGINE
-version whose verdict, node count or digest differs from its pin is
-refused the same way, while other engine versions are stored unchecked.
+that median and, for a SAT verdict, the witness's certificate digest
+with the meta `starbook search` gives it, as the journal records it, and
+stores them in --out under --label (see record.py).
+A verdict other than the row's makes the script exit 1 and store
+nothing; an abort is kept, as older source trees may abort.  Node counts
+and witnesses are deterministic: a run of the engine version that wrote
+the row whose node count or digest differs from the row's is refused
+the same way, while other engine versions are stored with only their
+verdicts checked.
 """
 
 from __future__ import annotations
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
 import record
 
 TIME_LIMIT = 120.0  # seconds per search
-PINNED_ENGINE = "fail-first/5"
-# Each instance's verdict, which the theorems fix, and the node count and
-# witness digest it takes under PINNED_ENGINE.
+JOURNAL = record.ROOT / "results" / "journal.jsonl"
+# The fields that name a journal row: one search of one graph.
+KEY = ("family", "params", "profile", "budget", "order_policy")
+# Each instance's journal key.  The instances are complete graphs, which
+# every source tree can build.
 INSTANCES = {
-    "K8/strict/b6": ("unsat", 1_890, None),
-    "K10/strict/b7": ("unsat", 3_049, None),
-    "K10/strict/b8": ("unsat", 230_822, None),
-    "K12/strict/b8": ("unsat", 4_636, None),
-    "K12/strict/b9": ("unsat", 429_798, None),
-    "K10/relaxed/b6": ("sat", 16_776,
-                       "6996e0b5164c7c4547cf40273d9608d051194bed71f67fe5f503f20c98d66335"),
-    "K9/saonly/b5": ("unsat", 1, None),
+    "K8/strict/b6": ("K", {"n": 8}, "strict", 6, "identity"),
+    "K10/strict/b7": ("K", {"n": 10}, "strict", 7, "identity"),
+    "K10/strict/b8": ("K", {"n": 10}, "strict", 8, "identity"),
+    "K12/strict/b8": ("K", {"n": 12}, "strict", 8, "identity"),
+    "K12/strict/b9": ("K", {"n": 12}, "strict", 9, "identity"),
+    "K10/relaxed/b6": ("K", {"n": 10}, "relaxed", 6, "identity"),
+    "K9/saonly/b5": ("K", {"n": 9}, "saonly", 5, "none"),
 }
+
+
+def journal_key(row: dict) -> str:
+    """A journal row's key as JSON text, so that keys compare and hash."""
+    return json.dumps([row[field] for field in KEY], sort_keys=True)
+
+
+def journal_rows() -> dict:
+    """The journal row of each instance, by instance name."""
+    rows = {journal_key(row): row for row in map(json.loads, JOURNAL.read_text().splitlines())}
+    return {name: rows[journal_key(dict(zip(KEY, key)))] for name, key in INSTANCES.items()}
 
 
 def measure() -> dict:
@@ -56,39 +72,47 @@ def measure() -> dict:
     certs = importlib.import_module("starbook.certs")
     print(f"starbook from {Path(starbook.__file__).parent}", flush=True)
     results = {}
-    for key in INSTANCES:
-        family, profile, budget = key.split("/")
-        n = int(family[1:])
-        problem = starbook.SearchProblem(starbook.complete_graph(n), int(budget[1:]),
-                                         starbook.Profile(profile),
-                                         order=starbook.identity_order(n),
-                                         time_limit=TIME_LIMIT)
+    for name, row in journal_rows().items():
+        n = row["params"]["n"]
+        problem = starbook.SearchProblem(
+            starbook.complete_graph(n), row["budget"], starbook.Profile(row["profile"]),
+            order=starbook.identity_order(n) if row["order_policy"] == "identity" else None,
+            time_limit=TIME_LIMIT)
         outcome, runs, (q1, seconds, q3) = record.timed(starbook.solve, lambda: (problem,))
-        results[key] = {
+        meta = {"family": row["family"], **row["params"], "scheme": "search",
+                "profile": row["profile"], "budget": row["budget"]}
+        results[name] = {
             "status": outcome.status, "reason": outcome.reason, "nodes": outcome.nodes,
             "max_depth": outcome.max_depth, "runs": runs, "seconds": seconds,
             "seconds_q1": q1, "seconds_q3": q3, "nodes_per_s": round(outcome.nodes / seconds),
-            "digest": outcome.layout and certs.certificate_digest(outcome.layout)}
-        print(f"{key}: {outcome.status}" + (f" ({outcome.reason})" if outcome.reason else "")
+            "certificate_digest": outcome.layout and certs.certificate_digest(outcome.layout, meta)}
+        print(f"{name}: {outcome.status}" + (f" ({outcome.reason})" if outcome.reason else "")
               + f", {outcome.nodes:,} nodes, {runs} runs, median {seconds:.4f} s, "
-              f"{results[key]['nodes_per_s']:,} nodes/s", flush=True)
+              f"{results[name]['nodes_per_s']:,} nodes/s", flush=True)
     return {"engine": getattr(search, "ENGINE_VERSION", None), "min_runs": record.MIN_RUNS,
             "min_seconds": record.MIN_SECONDS, "time_limit_s": TIME_LIMIT, "results": results}
 
 
 def check(run: dict) -> list[str]:
-    """What is wrong with a run: a verdict other than the theorem's (an
-    abort is allowed) and, for PINNED_ENGINE, any (status, nodes, digest)
-    other than its pin.  Runs stored before the digest was recorded lack
-    it, and their instances are all UNSAT."""
-    errors = []
-    for key, result in run["results"].items():
-        pin = INSTANCES[key]
-        if result["status"] not in (pin[0], "aborted"):
-            errors.append(f"{key} is {result['status']}, but the theorem makes it {pin[0]}")
-        got = result["status"], result["nodes"], result.get("digest")
-        if run["engine"] == PINNED_ENGINE and got != pin:
-            errors.append(f"{key} gave {got}, but {PINNED_ENGINE} gives {pin}")
+    """What is wrong with a run, against each instance's journal row: a
+    verdict other than the row's (an abort is allowed) and, on the row's
+    engine version, a node count or certificate digest other than the
+    row's.  Runs stored before the digest was recorded as the journal
+    records it hold only the witness digest without meta, `digest`, and
+    so have no digest checked."""
+    rows, errors = journal_rows(), []
+    for name, result in run["results"].items():
+        row = rows[name]
+        if result["status"] not in (row["outcome"], "aborted"):
+            errors.append(f"{name} is {result['status']}, but its journal row is "
+                          f"{row['outcome']}")
+        elif run["engine"] == row["engine"]:
+            got = (result["status"], result["nodes"],
+                   result.get("certificate_digest", row["certificate_digest"]))
+            want = row["outcome"], row["nodes"], row["certificate_digest"]
+            if got != want:
+                errors.append(f"{name} gave {got}, but its {row['engine']} journal row "
+                              f"has {want}")
     return errors
 
 

@@ -1,8 +1,9 @@
 """The bench scripts store a run only when it agrees with what they pin:
-bench/search.py refuses a verdict other than the theorem's and, for its
-pinned engine version, a changed node count or witness digest; and
-bench/certs.py a certificate digest that differs from its pin.  A stored
-run names the source tree it measured by its sha256.
+bench/search.py refuses a verdict other than its instance's journal row
+and, on the row's engine version, a node count or witness digest other
+than the row's; and bench/certs.py a certificate digest that differs
+from its pin.  A stored run names the source tree it measured by its
+sha256.
 Each script's `measure` is replaced, so no search or timing runs here."""
 
 import hashlib
@@ -27,8 +28,10 @@ def _script(monkeypatch, name):
 
 
 def _search_results(search):
-    return {key: {"status": status, "reason": None, "nodes": nodes, "digest": digest}
-            for key, (status, nodes, digest) in search.INSTANCES.items()}
+    """A run's results that agree with every instance's journal row."""
+    return {name: {"status": row["outcome"], "reason": None, "nodes": row["nodes"],
+                   "certificate_digest": row["certificate_digest"]}
+            for name, row in search.journal_rows().items()}
 
 
 def _cert_results(certs, sha256):
@@ -45,14 +48,16 @@ def _run(monkeypatch, script, results, out, engine=None):
 @pytest.mark.parametrize("status, code", [("unsat", 0), ("aborted", 0), ("sat", 1)])
 def test_search_refuses_a_verdict_against_its_theorem(monkeypatch, tmp_path, capsys,
                                                       status, code):
+    """A verdict other than the journal row's is refused on any engine
+    version, while an abort is stored."""
     search = _script(monkeypatch, "search")
     out = tmp_path / "BENCH_search.json"
     out.write_text('{"runs": {"old": {}}}\n')
-    results = {"K8/strict/b6": {"status": "unsat", "reason": None, "nodes": 1890},
-               "K10/strict/b8": {"status": status, "reason": None, "nodes": 7}}
+    results = _search_results(search)
+    results["K10/strict/b8"].update(status=status, nodes=7)
     assert _run(monkeypatch, search, results, out) == code
     if code:
-        assert "K10/strict/b8 is sat, but the theorem makes it unsat" in capsys.readouterr().err
+        assert "K10/strict/b8 is sat, but its journal row is unsat" in capsys.readouterr().err
         assert out.read_text() == '{"runs": {"old": {}}}\n'
     else:
         runs = json.loads(out.read_text())["runs"]
@@ -61,44 +66,58 @@ def test_search_refuses_a_verdict_against_its_theorem(monkeypatch, tmp_path, cap
 
 
 def test_proofs_pins_the_node_counts_of_its_engine(monkeypatch, tmp_path, capsys):
-    """A run of the pinned engine version must take the pinned node count on
-    every UNSAT proof; a run of another version, as an older tree under
-    --src, is stored unchecked."""
+    """A run of the engine version that wrote an UNSAT proof's journal row
+    must take the row's node count; a run of another version, as an older
+    tree under --src, is stored with only its verdicts checked."""
     search = _script(monkeypatch, "search")
     out = tmp_path / "BENCH_search.json"
+    row = search.journal_rows()["K10/strict/b8"]
     results = _search_results(search)
-    assert _run(monkeypatch, search, results, out, search.PINNED_ENGINE) == 0
+    assert _run(monkeypatch, search, results, out, row["engine"]) == 0
     results["K10/strict/b8"]["nodes"] += 1
     assert _run(monkeypatch, search, results, out, "static-order") == 0
     stored = out.read_text()
-    assert _run(monkeypatch, search, results, out, search.PINNED_ENGINE) == 1
-    assert (f"K10/strict/b8 gave ('unsat', 230823, None), but {search.PINNED_ENGINE}"
-            in capsys.readouterr().err)
+    assert _run(monkeypatch, search, results, out, row["engine"]) == 1
+    assert (f"K10/strict/b8 gave ('unsat', {row['nodes'] + 1}, None), but its {row['engine']} "
+            f"journal row has ('unsat', {row['nodes']}, None)" in capsys.readouterr().err)
     assert out.read_text() == stored
 
 
 def test_search_pins_the_current_engine(monkeypatch):
-    """bench/search.py checks its pins only on runs of PINNED_ENGINE, so an
-    engine version bump that leaves it behind stores runs unchecked."""
-    assert _script(monkeypatch, "search").PINNED_ENGINE == ENGINE_VERSION
+    """Every instance names one committed journal row, written by the
+    current engine version, so bench/search.py checks the node counts and
+    digests of a run of this tree."""
+    for name, row in _script(monkeypatch, "search").journal_rows().items():
+        assert row["engine"] == ENGINE_VERSION, name
+
+
+def test_journal_rows_have_distinct_keys(monkeypatch):
+    """No two committed journal rows record one search: (family, params,
+    profile, budget, order_policy) names at most one row."""
+    search = _script(monkeypatch, "search")
+    keys = [search.journal_key(json.loads(line))
+            for line in (ROOT / "results" / "journal.jsonl").read_text().splitlines()]
+    assert len(set(keys)) == len(keys)
 
 
 def test_engine_pins_verdicts_nodes_and_digest(monkeypatch, tmp_path, capsys):
-    """A run of the pinned engine version must match every pin, the witness
-    digest too; a run of another version is refused only for a verdict
-    against the theorems."""
+    """A run of the row's engine version must match the row's verdict,
+    node count and witness digest; a run of another version is refused
+    only for a verdict against the row."""
     search = _script(monkeypatch, "search")
     out = tmp_path / "BENCH_search.json"
+    row = search.journal_rows()["K10/relaxed/b6"]
     results = _search_results(search)
-    assert _run(monkeypatch, search, results, out, search.PINNED_ENGINE) == 0
-    results["K10/relaxed/b6"]["digest"] = "0" * 64
+    assert _run(monkeypatch, search, results, out, row["engine"]) == 0
+    results["K10/relaxed/b6"]["certificate_digest"] = "0" * 64
     assert _run(monkeypatch, search, results, out, "three-frame") == 0
     stored = out.read_text()
-    assert _run(monkeypatch, search, results, out, search.PINNED_ENGINE) == 1
-    assert "K10/relaxed/b6 gave ('sat', 16776, '0000" in capsys.readouterr().err
-    results["K10/relaxed/b6"].update(status="unsat", digest=None)
+    assert _run(monkeypatch, search, results, out, row["engine"]) == 1
+    assert (f"K10/relaxed/b6 gave ('sat', {row['nodes']}, '0000"
+            in capsys.readouterr().err)
+    results["K10/relaxed/b6"].update(status="unsat", certificate_digest=None)
     assert _run(monkeypatch, search, results, out, "three-frame") == 1
-    assert "K10/relaxed/b6 is unsat, but the theorem makes it sat" in capsys.readouterr().err
+    assert "K10/relaxed/b6 is unsat, but its journal row is sat" in capsys.readouterr().err
     assert out.read_text() == stored
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from pathlib import Path
 
@@ -332,6 +333,17 @@ def test_table_command(tmp_path, capsys):
     row6 = next(line for line in lines if line.startswith("6"))
     assert row6.split()[:4] == ["6", "4", "3", "5"]
     assert "k*=4" in row6
+
+
+def test_readme_table_is_the_command_output(monkeypatch, capsys):
+    """README's findings block is a `$ starbook table ...` line and what
+    that command prints in the repository root, verbatim."""
+    root = Path(__file__).parent.parent
+    [(command, printed)] = re.findall(r"^```\n(\$ starbook table .*)\n((?:.+\n)*?)```$",
+                                      (root / "README.md").read_text(), re.M)
+    monkeypatch.chdir(root)
+    assert main(command.split()[2:]) == 0
+    assert capsys.readouterr().out == printed
 
 
 def test_table_carries_bounds_across_profiles(tmp_path, capsys):

@@ -231,24 +231,11 @@ def _main_stars(r):
     return tuple(tuple((i, j) for j in range(i + 1, i + r + 1)) for i in range(1, r + 1))
 
 
-# Exact verdicts and node counts of the engine's traversal, and for a SAT
-# case the certificate digest of its witness (no meta).  Any change to the
-# edge order, the page order, the pruning or the page state shows here.
+# Exact verdicts and node counts of the engine's traversal on fixed pages,
+# which no journal row can express, and for a SAT case the certificate
+# digest of its witness (no meta).  Any change to the edge order, the page
+# order, the pruning or the page state shows here or in test_journal_replay.
 _PINNED_TRAVERSALS = {
-    "K7/strict/b5/identity": (
-        lambda: SearchProblem(complete_graph(7), 5, Profile.STRICT, order=identity_order(7)),
-        "unsat", 273, None),
-    "K6/strict/b4/all-orders": (
-        lambda: SearchProblem(complete_graph(6), 4, Profile.STRICT, optimize_order=True),
-        "unsat", 73, None),
-    # Criterion 4's r = 6; K_8 b6 and K_10 b7, b8 are journal rows.
-    "K12/strict/b8/identity": (
-        lambda: SearchProblem(complete_graph(12), 8, Profile.STRICT, order=identity_order(12)),
-        "unsat", 4_636, None),
-    # The deepest proof in the repository.
-    "K12/strict/b9/identity": (
-        lambda: SearchProblem(complete_graph(12), 9, Profile.STRICT, order=identity_order(12)),
-        "unsat", 429_798, None),
     "K8/strict/b6/fixed-mains": (
         lambda: SearchProblem(complete_graph(8), 6, Profile.STRICT, order=identity_order(8),
                               fixed_pages=_main_stars(4)),
@@ -277,45 +264,6 @@ _PINNED_TRAVERSALS = {
                               order=CircularOrder((3, 7, 1, 5, 8, 2, 6, 4)),
                               fixed_pages=_main_stars(4)[:2]),
         "sat", 29, "08f8aa5b9dba1b018bd66cb5c70668226b527a6455ba76ca10cad4a3f6cbf6f4"),
-    "K6/relaxed-cap/b3": (
-        lambda: SearchProblem(complete_graph(6), 3, Profile.RELAXED, order=identity_order(6),
-                              crosscap_allowed=True),
-        "unsat", 1, None),
-    "K6/relaxed-cap/b4": (
-        lambda: SearchProblem(complete_graph(6), 4, Profile.RELAXED, order=identity_order(6),
-                              crosscap_allowed=True),
-        "sat", 647, "864d1a0e14ff17c7c680a9682962b0da1c2e14cd542312735ec2352c6aa3b447"),
-    "K6/saonly/b3": (
-        lambda: SearchProblem(complete_graph(6), 3, Profile.STAR_FORESTS_ONLY),
-        "unsat", 1, None),
-    "K7/saonly/b5": (
-        lambda: SearchProblem(complete_graph(7), 5, Profile.STAR_FORESTS_ONLY),
-        "sat", 43, "1c4b925d10aae4281dd41f37304c2a0ebf02af8ff771f1b99731fc6cd1a9c4b4"),
-    "K8/relaxed-cap/b5": (
-        lambda: SearchProblem(complete_graph(8), 5, Profile.RELAXED, order=identity_order(8),
-                              crosscap_allowed=True),
-        "sat", 2_923, "25ac92bef0d380ec56772d7d2379ae951770a42c6d9a721156ab9caf5f014a5e"),
-    "K9/relaxed-cap/b5": (
-        lambda: SearchProblem(complete_graph(9), 5, Profile.RELAXED, order=identity_order(9),
-                              crosscap_allowed=True),
-        "unsat", 1, None),
-    # st(K_9) = 6 (Akiyama and Kano, 1985).
-    "K9/saonly/b5": (
-        lambda: SearchProblem(complete_graph(9), 5, Profile.STAR_FORESTS_ONLY),
-        "unsat", 1, None),
-    # The lonely-vertex bound cuts 330 nodes below the root here, 17 of them
-    # by its room term, and evaluates without cutting at 1,657 more.
-    "K7-e/saonly/b4": (
-        lambda: SearchProblem(minus_edge(complete_graph(7), (1, 2)), 4, Profile.STAR_FORESTS_ONLY),
-        "unsat", 2_701, None),
-    # The benchmark's largest cross-cap search.
-    "K10/relaxed-cap/b6": (
-        lambda: SearchProblem(complete_graph(10), 6, Profile.RELAXED, order=identity_order(10)),
-        "sat", 16_776, "6996e0b5164c7c4547cf40273d9608d051194bed71f67fe5f503f20c98d66335"),
-    "K6-e/strict/b4/all-orders": (
-        lambda: SearchProblem(minus_edge(complete_graph(6), (1, 2)), 4, Profile.STRICT,
-                              optimize_order=True),
-        "sat", 49, "ec09fa76a793acaa11850e85555326e88bbbee0c05a0db2c869ba71d791a2ee9"),
 }
 
 
@@ -609,13 +557,31 @@ class _CheckedEngine(_Engine):
         return found
 
 
+# The journal rows the checked engine searches besides three fixed-page
+# cases, each by its key: (family, params, profile, budget, order_policy).
+_CHECKED_ROWS = {
+    "K7/strict/b5/identity": ("K", {"n": 7}, "strict", 5, "identity"),
+    "K6/relaxed-cap/b4": ("K", {"n": 6}, "relaxed", 4, "identity"),
+    "K6/saonly/b3": ("K", {"n": 6}, "saonly", 3, "none"),
+    "K9/relaxed-cap/b5": ("K", {"n": 9}, "relaxed", 5, "identity"),
+    "K6/strict/b4/all-orders": ("K", {"n": 6}, "strict", 4, "optimize"),
+    # The lonely-vertex bound cuts 330 nodes below the root here, 17 of them
+    # by its room term, and evaluates without cutting at 1,657 more.
+    "K7-e/saonly/b4": ("K-e", {"e": [1, 2], "n": 7}, "saonly", 4, "none"),
+}
+
+
 @pytest.mark.parametrize("case", [
-    "K7/strict/b5/identity", "K6/relaxed-cap/b4", "K6/saonly/b3", "K8/strict/b6/fixed-mains",
-    "K8/relaxed/b6/fixed-mains", "K8/strict/b7/fixed-mains/reordered", "K9/relaxed-cap/b5",
-    "K6/strict/b4/all-orders", "K7-e/saonly/b4"])
+    *_CHECKED_ROWS, "K8/strict/b6/fixed-mains", "K8/relaxed/b6/fixed-mains",
+    "K8/strict/b7/fixed-mains/reordered"])
 def test_incremental_page_state_matches_recomputation(case):
-    make, status, nodes, _ = _PINNED_TRAVERSALS[case]
-    problem = make()
+    if case in _CHECKED_ROWS:
+        [rec] = [rec for rec in _JOURNAL_ROWS if (rec.family, rec.params, rec.profile,
+                 rec.budget, rec.order_policy) == _CHECKED_ROWS[case]]
+        problem, status, nodes = _row_problem(rec), rec.outcome, rec.nodes
+    else:
+        make, status, nodes, _ = _PINNED_TRAVERSALS[case]
+        problem = make()
     orders = distinct_orders(problem.graph) if problem.optimize_order else [
         problem.order or identity_order(problem.graph.n)]
     found, total = False, 0
@@ -717,16 +683,21 @@ def test_packing_bound_cuts_no_witness(monkeypatch):
 _JOURNAL_ROWS = load_records(Path(__file__).parent.parent / "results" / "journal.jsonl")
 
 
+def _row_problem(rec):
+    """The search a journal row records, as `starbook search` makes it."""
+    graph, _ = family_graph({"family": rec.family, **rec.params})
+    return SearchProblem(
+        graph, rec.budget, rec.profile,
+        order=identity_order(graph.n) if rec.order_policy == "identity" else None,
+        optimize_order=rec.order_policy == "optimize",
+    )
+
+
 @pytest.mark.parametrize("rec", _JOURNAL_ROWS, ids=lambda rec: (
     f"{rec.family}{rec.params['n']}/{rec.profile}/b{rec.budget}/{rec.order_policy}"))
 def test_journal_replay(rec):
     assert rec.engine == search.ENGINE_VERSION
-    graph, _ = family_graph({"family": rec.family, **rec.params})
-    out = solve(SearchProblem(
-        graph, rec.budget, rec.profile,
-        order=identity_order(graph.n) if rec.order_policy == "identity" else None,
-        optimize_order=rec.order_policy == "optimize",
-    ))
+    out = solve(_row_problem(rec))
     assert (out.status, out.nodes) == (rec.outcome, rec.nodes)
     digest = None
     if out.status == "sat":
