@@ -2,7 +2,7 @@
 
 One record per completed solver call, flushed line by line so that a
 crash can lose at most the line being written; a truncated final line
-is detected and skipped on reload.
+is detected and skipped on reload, and dropped by the next append.
 """
 
 from __future__ import annotations
@@ -45,8 +45,16 @@ _FIELD_TYPES = typing.get_type_hints(JournalRecord)
 def append_record(path, record: JournalRecord) -> None:
     # The fields are JSON values already; dataclasses.asdict would deep-copy them.
     line = json.dumps(vars(record), sort_keys=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
+    with open(path, "a+b") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                # A torn final write: drop the bytes after the last newline,
+                # or this line would join them and be lost with them on reload.
+                fh.seek(0)
+                fh.truncate(fh.read().rfind(b"\n") + 1)
+        fh.write(line.encode() + b"\n")
         fh.flush()
         os.fsync(fh.fileno())
 

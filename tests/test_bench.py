@@ -2,8 +2,8 @@
 bench/search.py refuses a verdict other than its instance's journal row
 and, on the row's engine version, a node count or witness digest other
 than the row's; and bench/certs.py a certificate digest that differs
-from its pin.  A stored run names the source tree it measured by its
-sha256.
+from its pin, which is the digest this tree's construction gives.  A
+stored run names the source tree it measured by its sha256.
 Each script's `measure` is replaced, so no search or timing runs here."""
 
 import hashlib
@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from starbook.certs import certificate_digest
+from starbook.construct import construct
 from starbook.search import ENGINE_VERSION
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,9 +130,16 @@ def test_certs_refuses_a_changed_digest(monkeypatch, tmp_path, capsys):
     assert "K256/relaxed has sha256 " + "0" * 64 in capsys.readouterr().err
     assert not out.exists()
     pinned = certs.PINNED_SHA256["K256/relaxed"]
-    assert pinned.startswith("f9d2cb7e")  # the r = 128 digest that CI also pins
     assert _run(monkeypatch, certs, _cert_results(certs, pinned), out) == 0
     assert json.loads(out.read_text())["runs"]["new"]["results"] == _cert_results(certs, pinned)
+
+
+def test_certs_pins_the_certificates_of_this_tree(monkeypatch):
+    # The bytes `starbook construct --scheme relaxed --r r` writes.
+    certs = _script(monkeypatch, "certs")
+    assert certs.PINNED_SHA256 == {
+        f"K{2 * r}/relaxed": certificate_digest(*construct("relaxed", r=r))
+        for r in certs.R_VALUES}
 
 
 def test_committed_bench_runs_pass_their_checks(monkeypatch):

@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import itertools
 import json
 
@@ -122,16 +121,6 @@ def test_serialization_matches_json_dumps(case):
     # pages, and meta with nesting, None, floats and non-ASCII strings.
     layout, meta = case
     assert serialize_layout(layout, meta) == _json_dumps_reference(layout, meta)
-
-
-def test_relaxed_r128_certificate_digest_is_pinned():
-    # The file `starbook construct --scheme relaxed --r 128` writes.
-    layout = relaxed_complete(128)
-    meta = {"family": "K", "n": 256, "r": 128, "scheme": "relaxed"}
-    text = serialize_layout(layout, meta)
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "f9d2cb7e3ea747c06d88f4165fe792c270312825ec9364b7b35e0b06d15a148d"
-    assert certificate_digest(layout, meta) == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_parse_bounds_list_lengths():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -127,8 +128,9 @@ _FAMILY_SEARCHES = {
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_every_family_round_trips_through_a_certificate(tmp_path, monkeypatch, family):
-    # Each search certificate verifies and renders on its own, and the
-    # journal row's family and params rebuild the graph the search covered.
+    # Each search certificate verifies and renders on its own, the journal
+    # row's digest is the sha256 of the file --out wrote, and the row's
+    # family and params rebuild the graph the search covered.
     monkeypatch.chdir(tmp_path)
     Path("g.txt").write_text("5\n1 2\n2 3\n3 4\n4 5\n1 5\n2 4\n")
     assert main(["search", *_FAMILY_SEARCHES[family], "--out", "c.json",
@@ -136,6 +138,7 @@ def test_every_family_round_trips_through_a_certificate(tmp_path, monkeypatch, f
     assert main(["verify", "c.json"]) == 0
     assert main(["render", "c.json", "--out", "c.svg"]) == 0
     rec = load_records("j.jsonl")[0]
+    assert hashlib.sha256(Path("c.json").read_bytes()).hexdigest() == rec.certificate_digest
     graph, params = family_graph({"family": rec.family, **rec.params})
     layout, meta = load_certificate("c.json")
     assert (rec.family, params) == (family, rec.params)
@@ -309,10 +312,11 @@ def test_verify_and_render_read_the_certificate_profile(tmp_path, capsys):
 def test_table_command(tmp_path, capsys):
     # On the committed journal the strict cell of K_10 reads k*=9 from both
     # sides: the journal's budget-8 UNSAT row and st_lower (n - 1, GD 2023).
-    # The upper ends of K_9 and K_12 strict (the n - 1 star pages) and of
-    # K_10 relaxed (relaxed_complete(5), 6 pages) come from the
-    # constructions, which the journal does not record.  No committed row
-    # contradicts a bound, or table would exit 1.
+    # The upper ends of K_9 and K_12 strict (the n - 1 star pages) come
+    # from the construction, which the journal does not record; that of
+    # K_10 relaxed (6 pages) from both relaxed_complete(5) and the
+    # journal's budget-6 SAT row.  No committed row contradicts a bound,
+    # or table would exit 1.
     committed = Path(__file__).parent.parent / "results" / "journal.jsonl"
     assert main(["table", "--n", "1..13", "--journal", str(committed)]) == 0
     rows = capsys.readouterr().out.strip().splitlines()[1:]

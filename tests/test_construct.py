@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -24,7 +25,7 @@ from starbook import (
     strict_literal,
     verify_layout,
 )
-from starbook.certs import certificate_digest
+from starbook.certs import certificate_digest, parse_certificate, serialize_layout
 from starbook.construct import construct, construction_pages, family_graph
 from starbook.verify import CROSSING_PAIR, DUPLICATE_EDGE, MISSING_EDGE
 from conftest import relabelled
@@ -164,10 +165,22 @@ def test_relaxed_pages_match_the_cyclic_stars():
     ("octahedron", {"r": 128}, "88eb468350ef9dbff4794e24854cb4c8745f0e55586d1569b0eb46369ddb3d53"),
     ("strict-literal", {"r": 64}, "357230c5303daacca838bf2ebaf670f22895d6331c35528b78ebb8698a38fae0"),
     ("stars", {"n": 256}, "ee4009b3ccef920277a88f18ee24dff0bd5f08efde6d2d59dadcdab76ebf3142"),
+    ("relaxed", {"r": 128}, "f9d2cb7e3ea747c06d88f4165fe792c270312825ec9364b7b35e0b06d15a148d"),
+    ("stars", {"n": 6}, "e6be194074136c71395b1f08335ed7a6bf046364e26a058e5bef4c03f9d8562e"),
 ])
 def test_construct_certificate_bytes_pinned(scheme, size, digest):
-    # The bytes `starbook construct` writes; CI pins the first two as well.
-    assert certificate_digest(*construct(scheme, **size)) == digest
+    # The bytes `starbook construct` writes, and what `starbook verify`
+    # finds in them: relaxed and odd layouts pass under relaxed, octahedron
+    # and star pages under strict, and the literal strict construction
+    # duplicates r - 1 edges and misses r - 1.
+    layout, meta = construct(scheme, **size)
+    text = serialize_layout(layout, meta)
+    assert hashlib.sha256(text.encode()).hexdigest() == certificate_digest(layout, meta) == digest
+    parsed, parsed_meta = parse_certificate(text)
+    assert parsed_meta == meta
+    profile = Profile.RELAXED if scheme in ("relaxed", "odd") else Profile.STRICT
+    defects = {DUPLICATE_EDGE: 63, MISSING_EDGE: 63} if scheme == "strict-literal" else {}
+    assert verify_layout(parsed, profile).kinds() == defects
 
 
 # --- odd extension -----------------------------------------------------------

@@ -51,6 +51,12 @@ def test_truncated_final_line_is_skipped(tmp_path):
         fh.write('{"timestamp": "2026-01-01T00:00:00+00:00", "family": "K", "par')
     records = load_records(path)
     assert len(records) == 1 and records[0].budget == 4
+    # The next append drops the torn bytes, so its line is not joined to
+    # them and lost, and the line after it does not leave a corrupt line
+    # mid-file.
+    append_record(path, _record(5, "sat"))
+    append_record(path, _record(6, "sat"))
+    assert [r.budget for r in load_records(path)] == [4, 5, 6]
 
 
 def test_unknown_keys_are_ignored(tmp_path):
