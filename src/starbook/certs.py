@@ -49,6 +49,13 @@ sort_keys=True), so its strings are ASCII, with JSON escapes (\\", \\n,
 \\u00e9) for quotes, control and non-ASCII characters; its lines after
 the first are indented by one space.
 
+serialize_layout writes each edge from two text pieces, one per end:
+"    [\n     u,\n     " for its first vertex u and "v\n    ]" for its
+second vertex v.  Each piece is formatted once per call, at the first
+edge that needs it, and kept in a dict keyed by the label, so a label
+outside 1..n (0, -1, n+1) gets its own piece like any other; an edge
+line is then one concatenation of two pieces.
+
 A plain-text edge-list format is also accepted for graph input: the
 vertex count on the first line, then one "u v" pair per line,
 whitespace-tolerant.
@@ -100,15 +107,29 @@ def serialize_layout(layout: BookLayout, meta: dict | None = None) -> str:
     """Canonical text form: equal layouts give identical bytes (see the module docstring)."""
     pages = [p for p in layout.pages if p.kind is PageKind.DISK]
     pages += [p for p in layout.pages if p.kind is PageKind.CROSSCAP]
+    heads, tails = _Pieces("    [\n     {},\n     "), _Pieces("{}\n    ]")
     page_texts = []
     for p in pages:
-        edges = _array([f"    [\n     {u},\n     {v}\n    ]" for u, v in sorted(p.edges)], "   ")
+        edges = _array([heads[u] + tails[v] for u, v in sorted(p.edges)], "   ")
         page_texts.append(f'  {{\n   "edges": {edges},\n   "kind": "{p.kind.value}"\n  }}')
     # json.dumps escapes newlines inside strings, so every newline it writes is structural.
     meta_text = json.dumps(dict(meta or {}), indent=1, sort_keys=True).replace("\n", "\n ")
     order = _array([f"  {v}" for v in layout.order.seq], " ")
     return (f'{{\n "format": "{FORMAT_TAG}",\n "meta": {meta_text},\n "n": {layout.graph.n},\n'
             f' "order": {order},\n "pages": {_array(page_texts, " ")}\n}}\n')
+
+
+class _Pieces(dict):
+    """The text piece of each vertex label, formatted from template on its
+    first lookup; keyed by the label itself, so any int is one."""
+
+    def __init__(self, template: str):
+        super().__init__()
+        self.template = template
+
+    def __missing__(self, label: int) -> str:
+        piece = self[label] = self.template.format(label)
+        return piece
 
 
 def _array(items: list[str], indent: str) -> str:

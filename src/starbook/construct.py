@@ -8,6 +8,12 @@ as family G, whose one parameter is its sorted edge list, so its
 certificate can be rebuilt like any other.  construct is the one map
 from a scheme name and its size to a layout.  The constructions only
 build; the verifier is the one judge of what they build.
+K_n's edges are built once per n, as the lexicographically sorted tuple
+that complete_graph makes its frozenset from and keeps in the same cache
+entry.  star_pages, relaxed_complete (and octahedron_pages, which takes
+its disk pages) and odd_extension's new page take their edges from that
+tuple by slice and index, so their pages hold the graph's own edge
+objects, in sorted order, and building them makes no tuple per edge.
 The relaxed construction for K_{2r} uses r two-star disk pages plus one
 cross-cap page holding the r antipodal edges.  The strict construction
 transcribed literally from its source text is kept as its own operation
@@ -21,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .model import (
     BookLayout,
@@ -51,10 +58,25 @@ def check_size(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def complete_graph(n: int) -> SimpleGraph:
+def _complete(n: int) -> tuple[SimpleGraph, tuple[Edge, ...]]:
+    """K_n, and its edges as one tuple in lexicographic order: the same
+    edge objects its frozenset holds (see _row for an edge's index)."""
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
-    return SimpleGraph(n, frozenset((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)))
+    edges = tuple(combinations(range(1, n + 1), 2))
+    return SimpleGraph(n, frozenset(edges)), edges
+
+
+def complete_graph(n: int) -> SimpleGraph:
+    """K_n on the vertices 1..n, built once per n."""
+    return _complete(n)[0]
+
+
+def _row(n: int, u: int) -> int:
+    """The index of (u, u+1), the first edge at u, in K_n's sorted edge
+    tuple: rows 1 .. u-1 hold (n-1) + ... + (n-u+1) edges.  Row u runs up
+    to _row(n, u+1), so (u, v) sits at _row(n, u) + v - u - 1."""
+    return (u - 1) * (2 * n - u) // 2
 
 
 def octahedron(r: int) -> SimpleGraph:
@@ -154,11 +176,9 @@ def star_pages(n: int) -> BookLayout:
     none for K_1."""
     if n < 1:
         raise ValueError(f"star pages need n >= 1, got {n}")
-    pages = tuple(
-        disk_page((i, j) for j in range(i + 1, n + 1))
-        for i in range(1, n)
-    )
-    return BookLayout(complete_graph(n), identity_order(n), pages)
+    graph, es = _complete(n)
+    pages = tuple(disk_page(es[_row(n, i):_row(n, i + 1)]) for i in range(1, n))
+    return BookLayout(graph, identity_order(n), pages)
 
 
 def relaxed_complete(r: int) -> BookLayout:
@@ -169,21 +189,23 @@ def relaxed_complete(r: int) -> BookLayout:
     page holds the r antipodal edges {i, r+i}.  Total edge count is
     2r^2 - r, every edge exactly once.
 
-    With h = r+i, page i is built in sorted order from three ranges:
-    the star at h's leaves below i, (j, h) for j < i; the star at i,
-    (i, j) for i < j < h; and the star at h's leaves above it, (h, j)
-    for j > h.
+    With h = r+i, page i is built in sorted order from K_n's sorted edge
+    tuple: the star at h's leaves below i, the picks (j, h) for j < i;
+    the star at i, the slice of row i holding (i, j) for i < j < h; and
+    the star at h's leaves above it, the whole of row h, (h, j) for j > h.
     """
     if r < 2:
         raise ValueError(f"relaxed construction needs r >= 2, got {r}")
     n = 2 * r
+    graph, es = _complete(n)
+    offset = [_row(n, j) - j - 1 for j in range(1, r)]  # (j, v) sits at offset[j - 1] + v
     pages = [
-        disk_page([(j, h) for j in range(1, i)] + [(i, j) for j in range(i + 1, h)]
-                  + [(h, j) for j in range(h + 1, n + 1)])
+        disk_page(tuple([es[o + h] for o in offset[:i - 1]])
+                  + es[_row(n, i):_row(n, i) + r - 1] + es[_row(n, h):_row(n, h + 1)])
         for i, h in zip(range(1, r + 1), range(r + 1, n + 1))
     ]
-    pages.append(crosscap_page((i, r + i) for i in range(1, r + 1)))
-    return BookLayout(complete_graph(n), identity_order(n), tuple(pages))
+    pages.append(crosscap_page(es[_row(n, i) + r - 1] for i in range(1, r + 1)))
+    return BookLayout(graph, identity_order(n), tuple(pages))
 
 
 def odd_extension(layout: BookLayout) -> BookLayout:
@@ -201,7 +223,8 @@ def odd_extension(layout: BookLayout) -> BookLayout:
     if n < 2 or n % 2 != 0 or layout.graph.edges != complete_graph(n).edges:
         raise ValueError("odd_extension requires a layout of a complete graph on an even vertex count")
     new = n + 1
-    new_page = disk_page([(j, new) for j in range(1, n + 1)])
+    graph, es = _complete(new)
+    new_page = disk_page(es[_row(new, j + 1) - 1] for j in range(1, new))  # (j, new) ends row j
     pages = list(layout.pages)
     insert_at = len(pages)
     for i, p in enumerate(pages):
@@ -210,7 +233,7 @@ def odd_extension(layout: BookLayout) -> BookLayout:
             break
     pages.insert(insert_at, new_page)
     return BookLayout(
-        complete_graph(new),
+        graph,
         CircularOrder(layout.order.seq + (new,)),
         tuple(pages),
     )

@@ -104,9 +104,13 @@ def _layouts(draw):
     n = draw(st.integers(0, 7))
     edges = list(itertools.combinations(range(1, n + 1), 2))
     order = draw(st.lists(st.integers(-2, n + 2), max_size=n))
+    # Besides graph edges, a page may hold any pair of ints: labels 0, -1
+    # and n+1, reversed pairs and loops.
+    label = st.integers(-1, n + 1)
+    pair = st.tuples(label, label)
     pages = draw(st.lists(
         st.tuples(st.sampled_from(list(PageKind)),
-                  st.lists(st.sampled_from(edges), max_size=6) if edges else st.just([])),
+                  st.lists(st.sampled_from(edges) | pair if edges else pair, max_size=6)),
         max_size=4))
     meta = draw(st.none() | st.dictionaries(st.text(max_size=4), _META_VALUES, max_size=4))
     layout = BookLayout(SimpleGraph(n, frozenset(edges)), CircularOrder(tuple(order)),
@@ -118,7 +122,8 @@ def _layouts(draw):
 @given(_layouts())
 def test_serialization_matches_json_dumps(case):
     # Empty orders, zero or empty pages, cross-cap pages listed before disk
-    # pages, and meta with nesting, None, floats and non-ASCII strings.
+    # pages, edges outside the graph, and meta with nesting, None, floats
+    # and non-ASCII strings.
     layout, meta = case
     assert serialize_layout(layout, meta) == _json_dumps_reference(layout, meta)
 

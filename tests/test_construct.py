@@ -315,6 +315,16 @@ def test_octahedron_pages_plus_matching_tile_complete_graph():
         assert not set(union) & matching
 
 
+def test_pages_hold_the_graph_edge_objects():
+    # The pages take K_n's own edge tuples rather than fresh copies, so a
+    # layout adds one pointer per edge to the cached graph, nothing more.
+    layouts = [make(r) for r in range(2, 33) for make in (relaxed_complete, octahedron_pages)]
+    layouts += [star_pages(n) for n in range(2, 65)]
+    for layout in layouts:
+        ids = {id(e) for e in layout.graph.edges}
+        assert all(id(e) in ids for p in layout.pages for e in p.edges), layout.graph.n
+
+
 # --- bounds --------------------------------------------------------------------
 
 def test_bounds_examples():
